@@ -32,7 +32,6 @@ from .harness import (
     simplex_start,
 )
 from .linalg import (
-    BorderedSystem,
     SolveDiagnostics,
     bordered_matrix,
     bordered_rcond,

@@ -8,7 +8,7 @@ factorizations are the simplest correct choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack
@@ -23,36 +23,27 @@ EPS_ATTEMPTS = 41
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Conditioning report for one linear solve."""
+    """Conditioning report for one linear solve; ``lu`` is the accepted
+    matrix's ``(lu, piv)`` when :func:`ensure_bordered_nonsingular` made it."""
 
     rcond: float
     singular: bool
     perturbation: float = 0.0
-
-
-@dataclass(frozen=True)
-class BorderedSystem:
-    """The (n+1) x (n+1) matrix [[lam*I - T, x], [e^T, 0]]."""
-
-    lam: float
-    T: np.ndarray
-    x: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        n = self.x.size
-        if self.T.shape != (n, n):
-            raise DimensionMismatch(
-                f"T has shape {self.T.shape}, expected ({n}, {n})"
-            )
-        M = np.zeros((n + 1, n + 1))
-        M[:n, :n] = self.lam * np.eye(n) - self.T
-        M[:n, n] = self.x
-        M[n, :n] = 1.0
-        return M
+    lu: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 def bordered_matrix(lam: float, T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return BorderedSystem(lam, np.asarray(T, dtype=float), np.asarray(x, dtype=float)).matrix()
+    """The (n+1) x (n+1) matrix [[lam*I - T, x], [e^T, 0]]."""
+    T = np.asarray(T, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if T.shape != (n, n):
+        raise DimensionMismatch(f"T has shape {T.shape}, expected ({n}, {n})")
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = lam * np.eye(n) - T
+    M[:n, n] = x
+    M[n, :n] = 1.0
+    return M
 
 
 def _factor(M: np.ndarray):
@@ -121,23 +112,28 @@ def solve_bordered(
     r: np.ndarray,
     s: float,
     rcond_threshold: float = RCOND_THRESHOLD,
+    factored: SolveDiagnostics | None = None,
 ) -> tuple[np.ndarray, float, SolveDiagnostics]:
     """Solve ``[[lam*I - T, x], [e^T, 0]] [d; delta] = [r; s]``.
 
     Returns ``(d, delta, diagnostics)``; raises :class:`SingularBordered`
-    when the bordered matrix is singular or nearly singular.
+    when the bordered matrix is singular or nearly singular.  ``factored``
+    is the report :func:`ensure_bordered_nonsingular` returned for this
+    same ``(lam, T, x)``; its LU is used instead of factoring again.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
     if r.shape != x.shape:
         raise DimensionMismatch(f"r has shape {r.shape}, expected {x.shape}")
-    M = bordered_matrix(lam, T, x)
-    lu, piv, rcond = _factor(M)
-    diag = SolveDiagnostics(rcond=rcond, singular=rcond < rcond_threshold)
+    if factored is not None and factored.lu is not None:
+        (lu, piv), diag = factored.lu, factored
+    else:
+        lu, piv, rcond = _factor(bordered_matrix(lam, T, x))
+        diag = SolveDiagnostics(rcond=rcond, singular=rcond < rcond_threshold)
     if diag.singular:
         raise SingularBordered(
             f"bordered matrix at lam={lam!r} is singular or nearly singular "
-            f"(rcond={rcond:.3e})",
+            f"(rcond={diag.rcond:.3e})",
             diagnostics=diag,
         )
     rhs = np.concatenate([r, [float(s)]])
@@ -161,21 +157,19 @@ def ensure_bordered_nonsingular(
     ``j = 0, 1, ...``.  The bordered determinant is a polynomial of degree
     n-1 in the shift, so only finitely many shifts are bad; the schedule is
     still bounded and raises :class:`PerturbationExhausted` if every
-    candidate fails.
+    candidate fails.  The returned report carries the LU of the accepted
+    matrix for :func:`solve_bordered`.
     """
-    T = np.asarray(T, dtype=float)
-    x = np.asarray(x, dtype=float)
-    rcond = bordered_rcond(lam, T, x)
-    if rcond >= rcond_threshold:
-        return float(lam), SolveDiagnostics(rcond=rcond, singular=False)
     scale = max(1.0, abs(lam))
-    for j in range(eps_attempts):
-        eps = scale * eps_base * eps_factor**j
-        candidate = lam + eps
-        rcond = bordered_rcond(candidate, T, x)
+    candidate, eps = float(lam), 0.0
+    for j in range(-1, eps_attempts):  # j = -1 tries lam itself
+        if j >= 0:
+            eps = scale * eps_base * eps_factor**j
+            candidate = float(lam + eps)
+        lu, piv, rcond = _factor(bordered_matrix(candidate, T, x))
         if rcond >= rcond_threshold:
-            return float(candidate), SolveDiagnostics(
-                rcond=rcond, singular=False, perturbation=eps
+            return candidate, SolveDiagnostics(
+                rcond=rcond, singular=False, perturbation=eps, lu=(lu, piv)
             )
     raise PerturbationExhausted(
         f"no shift perturbation of lam={lam!r} in {eps_attempts} attempts made the "

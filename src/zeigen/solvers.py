@@ -28,6 +28,7 @@ from .errors import (
     PerturbationExhausted,
     ProjectionEmpty,
     SingularBordered,
+    SingularShift,
     ZeroDenominator,
     ZeroVector,
 )
@@ -36,12 +37,12 @@ from .linalg import (
     EPS_BASE,
     EPS_FACTOR,
     RCOND_THRESHOLD,
+    SolveDiagnostics,
     ensure_bordered_nonsingular,
-    shift_rcond,
     solve_bordered,
     solve_shifted,
 )
-from .tensor import Iterate, Tensor, apply, jacobian_T, ratio_bounds, residual
+from .tensor import Iterate, Tensor, apply, jacobian_T, ratio_bounds
 
 METHODS = ("newton", "mni", "pni", "mpni")
 
@@ -162,19 +163,24 @@ def newton_step_bordered(
     lam: float,
     rcond_threshold: float = RCOND_THRESHOLD,
     T: np.ndarray | None = None,
+    ax: np.ndarray | None = None,
+    factored: SolveDiagnostics | None = None,
 ) -> tuple[np.ndarray, float]:
     """One Newton step through the bordered system.
 
     Solves [[lam*I - T(x), x], [e^T, 0]] [d; delta] = [lam*x - A x^{m-1};
     e^T x - 1] and returns ``(x - d, lam - delta)``.  Propagates
-    :class:`SingularBordered` when the system is (near-)singular.
+    :class:`SingularBordered` when the system is (near-)singular.  ``T``,
+    ``ax = A x^{m-1}`` and ``factored`` (see :func:`solve_bordered`) are reused.
     """
     x = np.asarray(x, dtype=float)
     if T is None:
         T = jacobian_T(A, x)
-    r = lam * x - apply(A, x)
+    if ax is None:
+        ax = apply(A, x)
+    r = lam * x - ax
     s = float(x.sum() - 1.0)
-    d, delta, _ = solve_bordered(lam, T, x, r, s, rcond_threshold)
+    d, delta, _ = solve_bordered(lam, T, x, r, s, rcond_threshold, factored)
     return x - d, float(lam - delta)
 
 
@@ -275,22 +281,31 @@ def _final(x, lam, res) -> Iterate:
     return Iterate(x=np.array(x, dtype=float), lam=float(lam), residual_norm=float(res))
 
 
-def _adjust_shift_in_interval(
-    lam: float, lam_low: float, lam_high: float, T: np.ndarray, rcond_threshold: float
-) -> tuple[float, bool]:
+def _residual(ax: np.ndarray, x: np.ndarray, lam: float) -> float:
+    """``||A x^{m-1} - lam x||_1`` from the contraction ``ax = A x^{m-1}``."""
+    return float(np.linalg.norm(ax - lam * x, 1))
+
+
+def _shifted_or_none(lam, T, x, rcond_threshold):
+    """``(lam I - T)^{-1} x`` from one LU, or None when the shift is (near-)singular."""
+    try:
+        return solve_shifted(lam, T, x, rcond_threshold)[0]
+    except SingularShift:
+        return None
+
+
+def _bisect_shift_in_interval(lam, lam_low, lam_high, T, x, rcond_threshold):
     """Move a (near-)singular shift within [lam_low, lam_high] by bisecting
-    toward the opposite endpoint until the shifted matrix is nonsingular."""
-    if shift_rcond(lam, T) >= rcond_threshold:
-        return lam, False
+    toward the opposite endpoint until the shifted matrix is nonsingular;
+    return that shift and ``(shift I - T)^{-1} x``, or ``(lam, None)``."""
     target = lam_low if (lam_high - lam) <= (lam - lam_low) else lam_high
     cur = lam
     for _ in range(INTERVAL_ADJUST_ATTEMPTS):
         cur = 0.5 * (cur + target)
-        if shift_rcond(cur, T) >= rcond_threshold:
-            return cur, True
-    raise PerturbationExhausted(
-        f"no nonsingular shift found in [{lam_low!r}, {lam_high!r}]"
-    )
+        w_hat = _shifted_or_none(cur, T, x, rcond_threshold)
+        if w_hat is not None:
+            return cur, w_hat
+    return lam, None
 
 
 def run_newton(A: Tensor, x0, lam0: float, config: SolverConfig | None = None) -> SolveReport:
@@ -302,7 +317,8 @@ def run_newton(A: Tensor, x0, lam0: float, config: SolverConfig | None = None) -
     lam_hat: float | None = None
 
     for k in range(cfg.max_iter + 1):
-        res = residual(A, x, lam) if np.all(np.isfinite(x)) and np.isfinite(lam) else np.nan
+        ax = apply(A, x) if np.all(np.isfinite(x)) else None
+        res = _residual(ax, x, lam) if ax is not None and np.isfinite(lam) else np.nan
         if not np.isfinite(res):
             return SolveReport(
                 "newton", "diverged", _final(x, lam, res), k, trace,
@@ -319,7 +335,7 @@ def run_newton(A: Tensor, x0, lam0: float, config: SolverConfig | None = None) -
         if k == cfg.max_iter:
             break
         try:
-            x, lam = newton_step_bordered(A, x, lam, cfg.rcond_threshold)
+            x, lam = newton_step_bordered(A, x, lam, cfg.rcond_threshold, ax=ax)
         except SingularBordered as exc:
             return SolveReport(
                 "newton", "perturbation_exhausted", _final(x, lam, res), k, trace,
@@ -344,30 +360,32 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     """
     cfg = config or SolverConfig(method="mni")
     x = _check_start(A, x0, cone="open")
-    lam_low, lam_high = ratio_bounds(apply(A, x), x)
+    ax = apply(A, x)
+    lam_low, lam_high = ratio_bounds(ax, x)
     lam = lam_high
     lam_hat: float | None = None
     flags: tuple[str, ...] = ()
     trace = IterationTrace()
 
     for k in range(cfg.max_iter + 1):
-        res = residual(A, x, lam)
-        T = None
+        res = _residual(ax, x, lam)
         if np.isfinite(res) and res >= cfg.tol:
             T = jacobian_T(A, x)
-            try:
-                lam, adjusted = _adjust_shift_in_interval(
-                    lam, lam_low, lam_high, T, cfg.rcond_threshold
+            w_hat = _shifted_or_none(lam, T, x, cfg.rcond_threshold)
+            if w_hat is None:
+                lam, w_hat = _bisect_shift_in_interval(
+                    lam, lam_low, lam_high, T, x, cfg.rcond_threshold
                 )
-            except PerturbationExhausted as exc:
-                trace.append(StepRecord(k, x.copy(), lam, res, lam_hat, lam_low, lam_high, flags))
-                return SolveReport(
-                    "mni", "perturbation_exhausted", _final(x, lam, res), k, trace,
-                    failure_reason=str(exc),
-                )
-            if adjusted:
+                if w_hat is None:
+                    trace.append(
+                        StepRecord(k, x.copy(), lam, res, lam_hat, lam_low, lam_high, flags)
+                    )
+                    return SolveReport(
+                        "mni", "perturbation_exhausted", _final(x, lam, res), k, trace,
+                        failure_reason=f"no nonsingular shift found in [{lam_low!r}, {lam_high!r}]",
+                    )
                 flags += ("lambda_adjusted",)
-                res = residual(A, x, lam)
+                res = _residual(ax, x, lam)
         if not np.isfinite(res):
             return SolveReport(
                 "mni", "diverged", _final(x, lam, res), k, trace,
@@ -384,7 +402,6 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
         if k == cfg.max_iter:
             break
 
-        w_hat, _ = solve_shifted(lam, T, x, cfg.rcond_threshold)
         e_w = float(w_hat.sum())
         w = project_sign_dominant(w_hat)
         flags = ("projection_changed",) if np.any(w != w_hat) else ()
@@ -396,7 +413,8 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
                 "mni", "diverged", _final(last.x, last.lam, last.residual), k, trace,
                 failure_reason="non-finite iterate",
             )
-        lam_low, lam_high = ratio_bounds(apply(A, x), x)
+        ax = apply(A, x)
+        lam_low, lam_high = ratio_bounds(ax, x)
         if abs(e_w) < ZERO_DENOM_TOL * np.linalg.norm(w_hat, 1):
             lam_hat = None
             flags += ("zero_denominator_branch",)
@@ -422,7 +440,8 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     """
     cfg = config or SolverConfig(method="pni")
     x = _check_start(A, x0, cone="open")
-    lam_low, lam_high = ratio_bounds(apply(A, x), x)
+    ax = apply(A, x)
+    lam_low, lam_high = ratio_bounds(ax, x)
     lam = lam_high
     lam_hat: float | None = None
     flags: tuple[str, ...] = ()
@@ -430,13 +449,13 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     trace = IterationTrace()
 
     for k in range(cfg.max_iter + 1):
-        res = residual(A, x, lam)
-        T = None
+        res = _residual(ax, x, lam)
         if np.isfinite(res) and res >= cfg.tol:
             T = jacobian_T(A, x)
-            if shift_rcond(lam, T) < cfg.rcond_threshold:
-                lam, escalated = _pni_rescue_shift(
-                    lam, lam_hat, lam_low, lam_high, T, cfg, k - 1
+            w_hat = _shifted_or_none(lam, T, x, cfg.rcond_threshold)
+            if w_hat is None:
+                lam, w_hat, escalated = _pni_rescue_shift(
+                    lam, lam_hat, lam_low, lam_high, T, x, cfg, k - 1
                 )
                 if escalated is None:
                     trace.append(
@@ -448,7 +467,7 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
                         notes=_beta_notes(beta_steps),
                     )
                 flags += (escalated,)
-                res = residual(A, x, lam)
+                res = _residual(ax, x, lam)
         if not np.isfinite(res):
             return SolveReport(
                 "pni", "diverged", _final(x, lam, res), k, trace,
@@ -468,7 +487,6 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
         if k == cfg.max_iter:
             break
 
-        w_hat, _ = solve_shifted(lam, T, x, cfg.rcond_threshold)
         e_w = float(w_hat.sum())
         if abs(e_w) < ZERO_DENOM_TOL * np.linalg.norm(w_hat, 1):
             return SolveReport(
@@ -487,7 +505,8 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
                 "pni", "diverged", _final(last.x, last.lam, last.residual), k, trace,
                 failure_reason="non-finite iterate", notes=_beta_notes(beta_steps),
             )
-        lam_low, lam_high = ratio_bounds(apply(A, x), x)
+        ax = apply(A, x)
+        lam_low, lam_high = ratio_bounds(ax, x)
         lam_hat = (lam - 1.0 / e_w) / (A.m - 1)
         beta = cfg.beta_at(k)
         lam = pni_select_lambda(lam_hat, lam_low, lam_high, beta)
@@ -507,23 +526,22 @@ def _beta_notes(beta_steps: list[int]) -> tuple[str, ...]:
     return (f"nonzero beta used after steps {beta_steps}",)
 
 
-def _pni_rescue_shift(lam, lam_hat, lam_low, lam_high, T, cfg, k):
+def _pni_rescue_shift(lam, lam_hat, lam_low, lam_high, T, x, cfg, k):
     """Replace a near-singular shift: re-damp the stored Newton value with
     fallback betas, or bisect within the interval when no Newton value
-    exists yet (first iteration)."""
+    exists yet (first iteration).  Returns the new shift, the solve
+    ``(shift I - T)^{-1} x`` and the flag, or ``(lam, None, None)``."""
     if lam_hat is None:
-        try:
-            new_lam, _ = _adjust_shift_in_interval(lam, lam_low, lam_high, T, cfg.rcond_threshold)
-            return new_lam, "lambda_adjusted"
-        except PerturbationExhausted:
-            return lam, None
+        lam, w_hat = _bisect_shift_in_interval(lam, lam_low, lam_high, T, x, cfg.rcond_threshold)
+        return lam, w_hat, None if w_hat is None else "lambda_adjusted"
     for beta in (cfg.beta_at(k),) + BETA_FALLBACK:
         candidate = pni_select_lambda(lam_hat, lam_low, lam_high, beta)
         if candidate == lam:
             continue
-        if shift_rcond(candidate, T) >= cfg.rcond_threshold:
-            return candidate, "beta_escalated"
-    return lam, None
+        w_hat = _shifted_or_none(candidate, T, x, cfg.rcond_threshold)
+        if w_hat is not None:
+            return candidate, w_hat, "beta_escalated"
+    return lam, None, None
 
 
 def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
@@ -536,7 +554,8 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     """
     cfg = config or SolverConfig(method="mpni")
     x = _check_start(A, x0, cone="closed")
-    lam_low, lam_high = ratio_bounds(apply(A, x), x)
+    ax = apply(A, x)
+    lam_low, lam_high = ratio_bounds(ax, x)
     lam = lam_high
     lam_hat: float | None = None
     interval: tuple[float, float] | None = (lam_low, lam_high)
@@ -545,7 +564,7 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     trace = IterationTrace()
 
     for k in range(cfg.max_iter + 1):
-        res = residual(A, x, lam) if np.all(np.isfinite(x)) and np.isfinite(lam) else np.nan
+        res = _residual(ax, x, lam) if ax is not None and np.isfinite(lam) else np.nan
         if not np.isfinite(res):
             return SolveReport(
                 "mpni", "diverged", _final(x, lam, res), k, trace,
@@ -581,7 +600,9 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
             )
         perturbation = diag.perturbation
         flags = ("lambda_perturbed",) if perturbation > 0 else ()
-        x_hat, lam_hat = newton_step_bordered(A, x, lam_use, cfg.rcond_threshold, T=T)
+        x_hat, lam_hat = newton_step_bordered(
+            A, x, lam_use, cfg.rcond_threshold, T=T, ax=ax, factored=diag
+        )
         try:
             x = proj_simplex(x_hat)
         except ProjectionEmpty as exc:
@@ -592,6 +613,7 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
         if np.any(x_hat < 0):
             flags += ("projection_changed",)
         lam = max(lam_hat, 0.0)
+        ax = apply(A, x) if np.all(np.isfinite(x)) else None
         interval = None
     last = trace[-1]
     return SolveReport(

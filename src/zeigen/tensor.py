@@ -2,13 +2,17 @@
 
 A tensor of order ``m`` and dimension ``n`` is stored as a list of
 ``(index tuple, value)`` pairs with 1-based indices; unlisted entries are
-zero.  All kernels (contraction, Jacobian, residual) loop over the stored
-entries only, so the cost per call is ``O(nnz * m)``.
+zero.  The kernels gather ``x`` once per index position (a contiguous
+column of the column-major indices), multiply the columns out left to
+right and scatter with ``np.add.at``: a few whole-array numpy calls per
+position, ``O(nnz * m)`` work for ``apply`` and ``O(nnz * m^2)`` for
+``jacobian_T``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -33,8 +37,9 @@ RATIO_ZERO_TOL = 1e-14
 class Tensor:
     """Immutable nonnegative tensor of order ``m`` and dimension ``n``.
 
-    ``indices`` has shape (nnz, m) with 0-based entries; ``values`` has
-    shape (nnz,).  Instances are safe to share across concurrent solves.
+    ``indices`` has shape (nnz, m) with 0-based entries (column-major when
+    built by :func:`build_tensor`); ``values`` has shape (nnz,).  Instances
+    are safe to share across concurrent solves.
     """
 
     m: int
@@ -45,15 +50,6 @@ class Tensor:
     @property
     def nnz(self) -> int:
         return self.values.size
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return apply(self, x)
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return jacobian_T(self, x)
-
-    def residual(self, x: np.ndarray, lam: float) -> float:
-        return residual(self, x, lam)
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ def build_tensor(m: int, n: int, entries) -> Tensor:
         raise ValueError(f"tensor dimension must be >= 1, got {n}")
 
     entries = list(entries)
-    idx = np.zeros((len(entries), m), dtype=np.intp)
+    idx = np.zeros((len(entries), m), dtype=np.intp, order="F")
     vals = np.zeros(len(entries))
     seen: set[tuple[int, ...]] = set()
     for row, (tup, value) in enumerate(entries):
@@ -118,8 +114,8 @@ def apply(A: Tensor, x) -> np.ndarray:
     out = np.zeros(A.n)
     if A.nnz == 0:
         return out
-    contrib = A.values * np.prod(x[A.indices[:, 1:]], axis=1)
-    np.add.at(out, A.indices[:, 0], contrib)
+    cols = [x[A.indices[:, q]] for q in range(1, A.m)]
+    np.add.at(out, A.indices[:, 0], A.values * reduce(np.multiply, cols))
     return out
 
 
@@ -134,11 +130,12 @@ def jacobian_T(A: Tensor, x) -> np.ndarray:
     T = np.zeros((A.n, A.n))
     if A.nnz == 0:
         return T
-    rows = A.indices[:, 0]
+    cols = [x[A.indices[:, q]] for q in range(1, A.m)]
+    row_start = A.indices[:, 0] * A.n
     for p in range(1, A.m):
-        others = [q for q in range(1, A.m) if q != p]
-        partial = A.values * np.prod(x[A.indices[:, others]], axis=1)
-        np.add.at(T, (rows, A.indices[:, p]), partial)
+        others = cols[: p - 1] + cols[p:]  # multiplied left to right, as np.prod does
+        partial = A.values * (reduce(np.multiply, others) if others else 1.0)
+        np.add.at(T.reshape(-1), row_start + A.indices[:, p], partial)
     return T
 
 
