@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ZeigenError
 from .harness import EigenpairSet, multi_start, simplex_start
-from .solvers import SolveReport, SolverConfig, solve
+from .solvers import METHODS, SolveReport, SolverConfig, solve
 from .tensor import Tensor, apply, load_tensor, ratio_bounds
 
 
@@ -249,7 +249,7 @@ def cmd_check(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("newton", "mni", "pni", "mpni"), default="mpni")
+    p.add_argument("--method", choices=METHODS, default="mpni")
     p.add_argument("--tol", type=float, default=1e-12, help="residual stop tolerance")
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--beta", default=None,

@@ -1,10 +1,11 @@
 """Newton and modified Newton iterations for nonnegative Z-eigenpairs.
 
-Four schemes share the same skeleton (stop on ``||A x^{m-1} - lam x||_1 <
-tol``, trace every iterate) and differ in how the next ``(x, lam)`` is
-formed:
+One loop (``_iterate``) runs all four schemes: it traces every iterate and
+stops on ``||A x^{m-1} - lam x||_1 < tol``, on divergence, after
+``max_iter`` steps or when a step fails.  The schemes differ only in the
+step rule that forms the next ``(x, lam)``:
 
-* ``run_newton``  -- plain Newton steps through the bordered system; no
+* ``run_newton``  -- a plain Newton step through the bordered system; no
   projection, no clamping.  Baseline; may leave the nonnegative cone.
 * ``run_mni``     -- solves the shifted system, projects the auxiliary
   vector onto its dominant sign part, and picks the next shift inside the
@@ -12,13 +13,16 @@ formed:
 * ``run_pni``     -- like ``run_mni`` but projects the candidate iterate
   (zeroing negative components) instead of the auxiliary vector, and damps
   the shift toward the ratio interval with a factor ``beta``.
-* ``run_mpni``    -- full Newton step through the bordered system, then
-  projection of the iterate onto the probability simplex and clamping of
-  the shift at zero.
+* ``run_mpni``    -- the Newton step of ``run_newton``, then projection of
+  the iterate onto the probability simplex and clamping of the shift at
+  zero.
+
+MNI and PNI also move a near-singular shift before the iterate is traced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +37,6 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import (
-    EPS_ATTEMPTS,
-    EPS_BASE,
-    EPS_FACTOR,
     RCOND_THRESHOLD,
     SolveDiagnostics,
     ensure_bordered_nonsingular,
@@ -48,6 +49,9 @@ METHODS = ("newton", "mni", "pni", "mpni")
 
 # |e^T w| below this fraction of ||w||_1 counts as a vanishing denominator.
 ZERO_DENOM_TOL = 1e-14
+
+# A residual above this stops the run as diverged.
+DIVERGENCE_BOUND = 1e8
 
 # Bisection attempts when a chosen shift must be moved inside the ratio
 # interval to escape near-singularity.
@@ -71,11 +75,6 @@ class SolverConfig:
     tol: float = 1e-12
     max_iter: int = 100
     beta_schedule: tuple[float, ...] | None = None
-    rcond_threshold: float = RCOND_THRESHOLD
-    eps_base: float = EPS_BASE
-    eps_factor: float = EPS_FACTOR
-    eps_attempts: int = EPS_ATTEMPTS
-    divergence_bound: float = 1e8
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -277,75 +276,157 @@ def _check_start(A: Tensor, x0, cone: str) -> np.ndarray:
     return x0
 
 
-def _final(x, lam, res) -> Iterate:
-    return Iterate(x=np.array(x, dtype=float), lam=float(lam), residual_norm=float(res))
-
-
-def _residual(ax: np.ndarray, x: np.ndarray, lam: float) -> float:
-    """``||A x^{m-1} - lam x||_1`` from the contraction ``ax = A x^{m-1}``."""
+def _residual(ax: np.ndarray | None, x: np.ndarray, lam: float) -> float:
+    """``||A x^{m-1} - lam x||_1`` from the contraction ``ax = A x^{m-1}``;
+    NaN when the iterate is not finite (``ax`` is None or ``lam`` is not)."""
+    if ax is None or not math.isfinite(lam):
+        return np.nan
     return float(np.linalg.norm(ax - lam * x, 1))
 
 
-def _shifted_or_none(lam, T, x, rcond_threshold):
-    """``(lam I - T)^{-1} x`` from one LU, or None when the shift is (near-)singular."""
-    try:
-        return solve_shifted(lam, T, x, rcond_threshold)[0]
-    except SingularShift:
-        return None
+def _contract(A: Tensor, x: np.ndarray) -> np.ndarray | None:
+    """``A x^{m-1}``, or None for a non-finite ``x``."""
+    return apply(A, x) if np.all(np.isfinite(x)) else None
 
 
-def _bisect_shift_in_interval(lam, lam_low, lam_high, T, x, rcond_threshold):
-    """Move a (near-)singular shift within [lam_low, lam_high] by bisecting
-    toward the opposite endpoint until the shifted matrix is nonsingular;
-    return that shift and ``(shift I - T)^{-1} x``, or ``(lam, None)``."""
-    target = lam_low if (lam_high - lam) <= (lam - lam_low) else lam_high
-    cur = lam
-    for _ in range(INTERVAL_ADJUST_ATTEMPTS):
-        cur = 0.5 * (cur + target)
-        w_hat = _shifted_or_none(cur, T, x, rcond_threshold)
-        if w_hat is not None:
-            return cur, w_hat
-    return lam, None
+class _Stop(Exception):
+    """Raised by a step, or by the shift check before a record, that cannot
+    go on; ``status`` and ``reason`` go into the report."""
+
+    def __init__(self, status: str, reason: str):
+        super().__init__(reason)
+        self.status, self.reason = status, reason
+
+
+def _iterate(method, cfg, x, lam, ax, fields, step, check=None) -> SolveReport:
+    """Run one scheme from ``(x, lam)`` with ``ax = A x^{m-1}``.
+
+    ``fields`` are the :class:`StepRecord` fields besides ``k, x, lam,
+    residual`` of the current iterate.  ``step(k, x, lam, ax, fields)``
+    returns the next ``(x, lam, ax, fields)`` or raises :class:`_Stop`.
+    ``check(k, x, lam, fields)``, when given, runs before an unconverged
+    finite iterate is recorded; it returns ``(lam, flag)``, where a flag
+    means the shift moved, or raises :class:`_Stop` (the iterate is still
+    recorded).  The final iterate of the report is the last one formed.
+    """
+    trace = IterationTrace()
+    status, reason = "max_iter", None
+    for k in range(cfg.max_iter + 1):
+        res = _residual(ax, x, lam)
+        stop = None
+        if check is not None and math.isfinite(res) and res >= cfg.tol:
+            try:
+                lam, flag = check(k, x, lam, fields)
+            except _Stop as exc:
+                stop = exc
+            else:
+                if flag:
+                    res = _residual(ax, x, lam)
+                    fields = {**fields, "flags": fields["flags"] + (flag,)}
+        if not math.isfinite(res):
+            status, reason = "diverged", "non-finite iterate"
+            break
+        trace.append(StepRecord(k, x.copy(), lam, res, **fields))
+        if stop is not None:
+            status, reason = stop.status, stop.reason
+        elif res < cfg.tol:
+            status = "converged"
+        elif res > DIVERGENCE_BOUND:
+            status, reason = "diverged", f"residual {res:.3e} exceeded divergence bound"
+        elif k < cfg.max_iter:
+            try:
+                x, lam, ax, fields = step(k, x, lam, ax, fields)
+            except _Stop as exc:
+                status, reason = exc.status, exc.reason
+            else:
+                continue
+        break
+    final = Iterate(x=np.array(x, dtype=float), lam=float(lam), residual_norm=float(res))
+    return SolveReport(method, status, final, k, trace, failure_reason=reason)
 
 
 def run_newton(A: Tensor, x0, lam0: float, config: SolverConfig | None = None) -> SolveReport:
     """Plain Newton iteration from ``(x0, lam0)``; no projection, no clamp."""
-    cfg = config or SolverConfig(method="newton")
-    x = _check_start(A, x0, cone="any")
-    lam = float(lam0)
-    trace = IterationTrace()
-    lam_hat: float | None = None
+    return _newton(A, x0, float(lam0), config or SolverConfig(method="newton"))
 
-    for k in range(cfg.max_iter + 1):
-        ax = apply(A, x) if np.all(np.isfinite(x)) else None
-        res = _residual(ax, x, lam) if ax is not None and np.isfinite(lam) else np.nan
-        if not np.isfinite(res):
-            return SolveReport(
-                "newton", "diverged", _final(x, lam, res), k, trace,
-                failure_reason="non-finite iterate",
-            )
-        trace.append(StepRecord(k=k, x=x.copy(), lam=lam, residual=res, lam_hat=lam_hat))
-        if res < cfg.tol:
-            return SolveReport("newton", "converged", _final(x, lam, res), k, trace)
-        if res > cfg.divergence_bound:
-            return SolveReport(
-                "newton", "diverged", _final(x, lam, res), k, trace,
-                failure_reason=f"residual {res:.3e} exceeded divergence bound",
-            )
-        if k == cfg.max_iter:
-            break
+
+def _newton(A: Tensor, x0, lam0: float | None, cfg: SolverConfig) -> SolveReport:
+    """Plain Newton; ``lam0=None`` starts from the upper ratio bound at
+    ``x0``, taken from the same contraction as the first residual."""
+    x = _check_start(A, x0, cone="any")
+    ax = apply(A, x)
+    lam = ratio_bounds(ax, x)[1] if lam0 is None else float(lam0)
+
+    def step(k, x, lam, ax, fields):
         try:
-            x, lam = newton_step_bordered(A, x, lam, cfg.rcond_threshold, ax=ax)
+            x, lam = newton_step_bordered(A, x, lam, ax=ax)
         except SingularBordered as exc:
-            return SolveReport(
-                "newton", "perturbation_exhausted", _final(x, lam, res), k, trace,
-                failure_reason=f"bordered system singular and plain Newton has no recovery: {exc}",
-            )
-        lam_hat = lam
-    last = trace[-1]
-    return SolveReport(
-        "newton", "max_iter", _final(last.x, last.lam, last.residual), cfg.max_iter, trace
-    )
+            raise _Stop(
+                "perturbation_exhausted",
+                f"bordered system singular and plain Newton has no recovery: {exc}",
+            ) from None
+        return x, lam, _contract(A, x), {"lam_hat": lam}
+
+    return _iterate("newton", cfg, x, lam, ax, {}, step)
+
+
+def _shifted_or_none(lam, T, x):
+    """``(lam I - T)^{-1} x`` from one LU, or None when the shift is (near-)singular."""
+    try:
+        return solve_shifted(lam, T, x)[0]
+    except SingularShift:
+        return None
+
+
+def _bisect_shift_in_interval(lam, lam_low, lam_high, T, x):
+    """Move a (near-)singular shift within [lam_low, lam_high] by bisecting
+    toward the opposite endpoint until the shifted matrix is nonsingular;
+    return that shift and ``(shift I - T)^{-1} x``, or None."""
+    target = lam_low if (lam_high - lam) <= (lam - lam_low) else lam_high
+    cur = lam
+    for _ in range(INTERVAL_ADJUST_ATTEMPTS):
+        cur = 0.5 * (cur + target)
+        w_hat = _shifted_or_none(cur, T, x)
+        if w_hat is not None:
+            return cur, w_hat
+    return None
+
+
+def _shift_iterate(method, A, x0, cfg, rescue, update) -> SolveReport:
+    """MNI and PNI: start at the upper ratio bound of ``x0 > 0``.  Before
+    each record, solve ``(lam I - T(x)) w = x``; when the shift is
+    (near-)singular, ``rescue(k, lam, fields, T, x)`` returns a moved shift,
+    its solve and a flag, or raises :class:`_Stop`.  Each step is
+    ``update(k, x, lam, w)``."""
+    x = _check_start(A, x0, cone="open")
+    ax = apply(A, x)
+    lam_low, lam_high = ratio_bounds(ax, x)
+    w_hat = None
+
+    def check(k, x, lam, fields):
+        nonlocal w_hat
+        T = jacobian_T(A, x)
+        w_hat = _shifted_or_none(lam, T, x)
+        if w_hat is not None:
+            return lam, None
+        lam, w_hat, flag = rescue(k, lam, fields, T, x)
+        return lam, flag
+
+    def step(k, x, lam, ax, fields):
+        return update(k, x, lam, w_hat)
+
+    fields = {"lam_hat": None, "lam_low": lam_low, "lam_high": lam_high, "flags": ()}
+    return _iterate(method, cfg, x, lam_high, ax, fields, step, check)
+
+
+def _next_interval(A: Tensor, x: np.ndarray, **fields):
+    """The contraction and record fields of a new MNI/PNI iterate, with its
+    ratio interval."""
+    if not np.all(np.isfinite(x)):
+        raise _Stop("diverged", "non-finite iterate")
+    ax = apply(A, x)
+    lam_low, lam_high = ratio_bounds(ax, x)
+    return ax, {"lam_low": lam_low, "lam_high": lam_high, **fields}
 
 
 def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
@@ -358,73 +439,33 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     interval (clamping the Newton value).  A shift that leaves the shifted
     matrix near-singular is bisected within the interval before it is used.
     """
-    cfg = config or SolverConfig(method="mni")
-    x = _check_start(A, x0, cone="open")
-    ax = apply(A, x)
-    lam_low, lam_high = ratio_bounds(ax, x)
-    lam = lam_high
-    lam_hat: float | None = None
-    flags: tuple[str, ...] = ()
-    trace = IterationTrace()
 
-    for k in range(cfg.max_iter + 1):
-        res = _residual(ax, x, lam)
-        if np.isfinite(res) and res >= cfg.tol:
-            T = jacobian_T(A, x)
-            w_hat = _shifted_or_none(lam, T, x, cfg.rcond_threshold)
-            if w_hat is None:
-                lam, w_hat = _bisect_shift_in_interval(
-                    lam, lam_low, lam_high, T, x, cfg.rcond_threshold
-                )
-                if w_hat is None:
-                    trace.append(
-                        StepRecord(k, x.copy(), lam, res, lam_hat, lam_low, lam_high, flags)
-                    )
-                    return SolveReport(
-                        "mni", "perturbation_exhausted", _final(x, lam, res), k, trace,
-                        failure_reason=f"no nonsingular shift found in [{lam_low!r}, {lam_high!r}]",
-                    )
-                flags += ("lambda_adjusted",)
-                res = _residual(ax, x, lam)
-        if not np.isfinite(res):
-            return SolveReport(
-                "mni", "diverged", _final(x, lam, res), k, trace,
-                failure_reason="non-finite iterate",
+    def rescue(k, lam, fields, T, x):
+        lam_low, lam_high = fields["lam_low"], fields["lam_high"]
+        moved = _bisect_shift_in_interval(lam, lam_low, lam_high, T, x)
+        if moved is None:
+            raise _Stop(
+                "perturbation_exhausted",
+                f"no nonsingular shift found in [{lam_low!r}, {lam_high!r}]",
             )
-        trace.append(StepRecord(k, x.copy(), lam, res, lam_hat, lam_low, lam_high, flags))
-        if res < cfg.tol:
-            return SolveReport("mni", "converged", _final(x, lam, res), k, trace)
-        if res > cfg.divergence_bound:
-            return SolveReport(
-                "mni", "diverged", _final(x, lam, res), k, trace,
-                failure_reason=f"residual {res:.3e} exceeded divergence bound",
-            )
-        if k == cfg.max_iter:
-            break
+        return (*moved, "lambda_adjusted")
 
+    def update(k, x, lam, w_hat):
         e_w = float(w_hat.sum())
         w = project_sign_dominant(w_hat)
         flags = ("projection_changed",) if np.any(w != w_hat) else ()
         x_tilde = (A.m - 2) * x + w / w.sum()
         x = x_tilde / np.linalg.norm(x_tilde, 1)
-        if not np.all(np.isfinite(x)):
-            last = trace[-1]
-            return SolveReport(
-                "mni", "diverged", _final(last.x, last.lam, last.residual), k, trace,
-                failure_reason="non-finite iterate",
-            )
-        ax = apply(A, x)
-        lam_low, lam_high = ratio_bounds(ax, x)
         if abs(e_w) < ZERO_DENOM_TOL * np.linalg.norm(w_hat, 1):
             lam_hat = None
             flags += ("zero_denominator_branch",)
         else:
             lam_hat = (lam - 1.0 / e_w) / (A.m - 1)
-        lam = mni_select_lambda(lam_hat, lam_low, lam_high)
-    last = trace[-1]
-    return SolveReport(
-        "mni", "max_iter", _final(last.x, last.lam, last.residual), cfg.max_iter, trace
-    )
+        ax, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
+        lam = mni_select_lambda(lam_hat, fields["lam_low"], fields["lam_high"])
+        return x, lam, ax, fields
+
+    return _shift_iterate("mni", A, x0, config or SolverConfig(method="mni"), rescue, update)
 
 
 def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
@@ -439,109 +480,51 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     is reported as a failure.
     """
     cfg = config or SolverConfig(method="pni")
-    x = _check_start(A, x0, cone="open")
-    ax = apply(A, x)
-    lam_low, lam_high = ratio_bounds(ax, x)
-    lam = lam_high
-    lam_hat: float | None = None
-    flags: tuple[str, ...] = ()
     beta_steps: list[int] = []
-    trace = IterationTrace()
 
-    for k in range(cfg.max_iter + 1):
-        res = _residual(ax, x, lam)
-        if np.isfinite(res) and res >= cfg.tol:
-            T = jacobian_T(A, x)
-            w_hat = _shifted_or_none(lam, T, x, cfg.rcond_threshold)
-            if w_hat is None:
-                lam, w_hat, escalated = _pni_rescue_shift(
-                    lam, lam_hat, lam_low, lam_high, T, x, cfg, k - 1
-                )
-                if escalated is None:
-                    trace.append(
-                        StepRecord(k, x.copy(), lam, res, lam_hat, lam_low, lam_high, flags)
-                    )
-                    return SolveReport(
-                        "pni", "perturbation_exhausted", _final(x, lam, res), k, trace,
-                        failure_reason="no damping factor made the shifted matrix nonsingular",
-                        notes=_beta_notes(beta_steps),
-                    )
-                flags += (escalated,)
-                res = _residual(ax, x, lam)
-        if not np.isfinite(res):
-            return SolveReport(
-                "pni", "diverged", _final(x, lam, res), k, trace,
-                failure_reason="non-finite iterate", notes=_beta_notes(beta_steps),
-            )
-        trace.append(StepRecord(k, x.copy(), lam, res, lam_hat, lam_low, lam_high, flags))
-        if res < cfg.tol:
-            return SolveReport(
-                "pni", "converged", _final(x, lam, res), k, trace, notes=_beta_notes(beta_steps)
-            )
-        if res > cfg.divergence_bound:
-            return SolveReport(
-                "pni", "diverged", _final(x, lam, res), k, trace,
-                failure_reason=f"residual {res:.3e} exceeded divergence bound",
-                notes=_beta_notes(beta_steps),
-            )
-        if k == cfg.max_iter:
-            break
+    def rescue(k, lam, fields, T, x):
+        # Re-damp the last Newton value with the fallback betas (the
+        # configured one gave ``lam``); before the first step, bisect.
+        lam_hat, lam_low, lam_high = fields["lam_hat"], fields["lam_low"], fields["lam_high"]
+        if lam_hat is None:
+            moved = _bisect_shift_in_interval(lam, lam_low, lam_high, T, x)
+            if moved is not None:
+                return (*moved, "lambda_adjusted")
+        else:
+            for beta in BETA_FALLBACK:
+                candidate = pni_select_lambda(lam_hat, lam_low, lam_high, beta)
+                w_hat = None if candidate == lam else _shifted_or_none(candidate, T, x)
+                if w_hat is not None:
+                    return candidate, w_hat, "beta_escalated"
+        raise _Stop(
+            "perturbation_exhausted", "no damping factor made the shifted matrix nonsingular"
+        )
 
+    def update(k, x, lam, w_hat):
         e_w = float(w_hat.sum())
         if abs(e_w) < ZERO_DENOM_TOL * np.linalg.norm(w_hat, 1):
-            return SolveReport(
-                "pni", "perturbation_exhausted", _final(x, lam, res), k, trace,
-                failure_reason="e^T w = 0: the bordered matrix is singular and the "
+            raise _Stop(
+                "perturbation_exhausted",
+                "e^T w = 0: the bordered matrix is singular and the "
                 "unprojected update divides by zero",
-                notes=_beta_notes(beta_steps),
             )
         x_tilde = (A.m - 2) * x + w_hat / e_w
         clamped = np.maximum(x_tilde, 0.0)
         flags = ("projection_changed",) if np.any(clamped != x_tilde) else ()
         x = clamped / np.linalg.norm(clamped, 1)
-        if not np.all(np.isfinite(x)):
-            last = trace[-1]
-            return SolveReport(
-                "pni", "diverged", _final(last.x, last.lam, last.residual), k, trace,
-                failure_reason="non-finite iterate", notes=_beta_notes(beta_steps),
-            )
-        ax = apply(A, x)
-        lam_low, lam_high = ratio_bounds(ax, x)
         lam_hat = (lam - 1.0 / e_w) / (A.m - 1)
+        ax, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
         beta = cfg.beta_at(k)
-        lam = pni_select_lambda(lam_hat, lam_low, lam_high, beta)
         if beta > 0:
             beta_steps.append(k)
-    last = trace[-1]
-    return SolveReport(
-        "pni", "max_iter", _final(last.x, last.lam, last.residual), cfg.max_iter, trace,
-        notes=_beta_notes(beta_steps),
-    )
+        lam = pni_select_lambda(lam_hat, fields["lam_low"], fields["lam_high"], beta)
+        return x, lam, ax, fields
 
-
-def _beta_notes(beta_steps: list[int]) -> tuple[str, ...]:
-    if not beta_steps:
-        return ()
-    # Nonzero damping voids the quadratic-convergence argument, so record it.
-    return (f"nonzero beta used after steps {beta_steps}",)
-
-
-def _pni_rescue_shift(lam, lam_hat, lam_low, lam_high, T, x, cfg, k):
-    """Replace a near-singular shift: re-damp the stored Newton value with
-    fallback betas, or bisect within the interval when no Newton value
-    exists yet (first iteration).  Returns the new shift, the solve
-    ``(shift I - T)^{-1} x`` and the flag, or ``(lam, None, None)``."""
-    if lam_hat is None:
-        lam, w_hat = _bisect_shift_in_interval(lam, lam_low, lam_high, T, x, cfg.rcond_threshold)
-        return lam, w_hat, None if w_hat is None else "lambda_adjusted"
-    for beta in (cfg.beta_at(k),) + BETA_FALLBACK:
-        candidate = pni_select_lambda(lam_hat, lam_low, lam_high, beta)
-        if candidate == lam:
-            continue
-        w_hat = _shifted_or_none(candidate, T, x, cfg.rcond_threshold)
-        if w_hat is not None:
-            return candidate, w_hat, "beta_escalated"
-    return lam, None, None
+    report = _shift_iterate("pni", A, x0, cfg, rescue, update)
+    if beta_steps:
+        # Nonzero damping voids the quadratic-convergence argument, so record it.
+        report.notes = (f"nonzero beta used after steps {beta_steps}",)
+    return report
 
 
 def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
@@ -552,73 +535,30 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     near-singular), projects each candidate iterate onto the probability
     simplex, and clamps each candidate shift at zero.
     """
-    cfg = config or SolverConfig(method="mpni")
     x = _check_start(A, x0, cone="closed")
     ax = apply(A, x)
     lam_low, lam_high = ratio_bounds(ax, x)
-    lam = lam_high
-    lam_hat: float | None = None
-    interval: tuple[float, float] | None = (lam_low, lam_high)
-    flags: tuple[str, ...] = ()
-    perturbation = 0.0
-    trace = IterationTrace()
 
-    for k in range(cfg.max_iter + 1):
-        res = _residual(ax, x, lam) if ax is not None and np.isfinite(lam) else np.nan
-        if not np.isfinite(res):
-            return SolveReport(
-                "mpni", "diverged", _final(x, lam, res), k, trace,
-                failure_reason="non-finite iterate",
-            )
-        trace.append(
-            StepRecord(
-                k, x.copy(), lam, res, lam_hat,
-                interval[0] if interval else None,
-                interval[1] if interval else None,
-                flags, perturbation,
-            )
-        )
-        if res < cfg.tol:
-            return SolveReport("mpni", "converged", _final(x, lam, res), k, trace)
-        if res > cfg.divergence_bound:
-            return SolveReport(
-                "mpni", "diverged", _final(x, lam, res), k, trace,
-                failure_reason=f"residual {res:.3e} exceeded divergence bound",
-            )
-        if k == cfg.max_iter:
-            break
-
+    def step(k, x, lam, ax, fields):
         T = jacobian_T(A, x)
         try:
-            lam_use, diag = ensure_bordered_nonsingular(
-                lam, T, x, cfg.rcond_threshold, cfg.eps_base, cfg.eps_factor, cfg.eps_attempts
-            )
+            lam_use, diag = ensure_bordered_nonsingular(lam, T, x)
         except PerturbationExhausted as exc:
-            return SolveReport(
-                "mpni", "perturbation_exhausted", _final(x, lam, res), k, trace,
-                failure_reason=str(exc),
-            )
-        perturbation = diag.perturbation
-        flags = ("lambda_perturbed",) if perturbation > 0 else ()
-        x_hat, lam_hat = newton_step_bordered(
-            A, x, lam_use, cfg.rcond_threshold, T=T, ax=ax, factored=diag
-        )
+            raise _Stop("perturbation_exhausted", str(exc)) from None
+        x_hat, lam_hat = newton_step_bordered(A, x, lam_use, T=T, ax=ax, factored=diag)
         try:
             x = proj_simplex(x_hat)
         except ProjectionEmpty as exc:
-            return SolveReport(
-                "mpni", "projection_empty", _final(x, lam, res), k, trace,
-                failure_reason=str(exc),
-            )
+            raise _Stop("projection_empty", str(exc)) from None
+        flags = ("lambda_perturbed",) if diag.perturbation > 0 else ()
         if np.any(x_hat < 0):
             flags += ("projection_changed",)
-        lam = max(lam_hat, 0.0)
-        ax = apply(A, x) if np.all(np.isfinite(x)) else None
-        interval = None
-    last = trace[-1]
-    return SolveReport(
-        "mpni", "max_iter", _final(last.x, last.lam, last.residual), cfg.max_iter, trace
-    )
+        fields = {"lam_hat": lam_hat, "flags": flags, "perturbation": diag.perturbation}
+        return x, max(lam_hat, 0.0), _contract(A, x), fields
+
+    cfg = config or SolverConfig(method="mpni")
+    fields = {"lam_low": lam_low, "lam_high": lam_high}
+    return _iterate("mpni", cfg, x, lam_high, ax, fields, step)
 
 
 def solve(
@@ -631,12 +571,5 @@ def solve(
     """
     cfg = config or SolverConfig()
     if cfg.method == "newton":
-        if lam0 is None:
-            x0_arr = _check_start(A, x0, cone="any")
-            _, lam0 = ratio_bounds(apply(A, x0_arr), x0_arr)
-        return run_newton(A, x0, lam0, cfg)
-    if cfg.method == "mni":
-        return run_mni(A, x0, cfg)
-    if cfg.method == "pni":
-        return run_pni(A, x0, cfg)
-    return run_mpni(A, x0, cfg)
+        return _newton(A, x0, lam0, cfg)
+    return {"mni": run_mni, "pni": run_pni, "mpni": run_mpni}[cfg.method](A, x0, cfg)

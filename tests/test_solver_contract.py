@@ -1,0 +1,62 @@
+"""The contract every solver keeps, on random small tensors.
+
+For any valid start, ``solve`` returns a report and does not raise; the
+status is one of the five documented values; the trace holds one record
+per iterate reached (``iterations`` or ``iterations + 1`` of them); and a
+``converged`` report certifies its final iterate: residual below ``tol``,
+unit 1-norm, equal to the last trace record, and nonnegative for the
+methods that keep the iterate in the cone.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zeigen import SolverConfig, build_tensor, solve
+
+STATUSES = {"converged", "max_iter", "diverged", "perturbation_exhausted", "projection_empty"}
+CONE_METHODS = ("mni", "pni", "mpni")
+
+
+@st.composite
+def problems(draw):
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    total = n**m
+    flat = draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=min(total, 30),
+                         unique=True))
+    if draw(st.booleans()):
+        values = [1.0] * len(flat)  # unit values make shifts singular
+    else:
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=len(flat), max_size=len(flat)))
+    grid = np.unravel_index(flat, (n,) * m)
+    entries = [
+        (tuple(int(axis[row]) + 1 for axis in grid), values[row]) for row in range(len(flat))
+    ]
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    method = draw(st.sampled_from(("newton", "mni", "pni", "mpni")))
+    config = SolverConfig(
+        method=method,
+        max_iter=draw(st.sampled_from((0, 1, 100))),
+        beta_schedule=draw(st.sampled_from((None, (0.3,), (0.0, 0.5)))),
+    )
+    return build_tensor(m, n, entries), weights / weights.sum(), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_solver_contract(problem):
+    tensor, x0, config = problem
+    report = solve(tensor, x0, config)
+    assert report.status in STATUSES
+    assert report.method == config.method
+    assert len(report.trace) in (report.iterations, report.iterations + 1)
+    if not report.converged:
+        return
+    final, last = report.final, report.trace[-1]
+    assert final.residual_norm < config.tol
+    assert abs(final.x.sum() - 1.0) <= 1e-12
+    assert final.x.tobytes() == last.x.tobytes()
+    assert (final.lam, final.residual_norm) == (last.lam, last.residual)
+    if config.method in CONE_METHODS:
+        assert np.all(final.x >= 0)

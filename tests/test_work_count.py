@@ -48,8 +48,9 @@ def calls(monkeypatch):
         pytest.param(SolverConfig(method="mpni"), None, id="mpni"),
         pytest.param(SolverConfig(method="mni"), None, id="mni"),
         pytest.param(SolverConfig(method="pni", beta_schedule=(0.3,)), None, id="pni"),
-        # an explicit lam0: without one, solve() contracts once more at x0
         pytest.param(SolverConfig(method="newton"), 1.0, id="newton"),
+        # no lam0: the upper ratio bound at x0 comes from the first residual's contraction
+        pytest.param(SolverConfig(method="newton"), None, id="newton_default_shift"),
     ],
 )
 def test_one_contraction_jacobian_and_lu_per_step(quartic2, calls, config, lam0):
