@@ -4,14 +4,23 @@ Both systems are solved by LU with partial pivoting; near-singularity is
 detected with the LAPACK 1-norm reciprocal-condition estimator.  Matrices
 here are small (the solvers target n up to a few dozen), so dense
 factorizations are the simplest correct choice.
+
+``dgetrf``, ``dgecon`` and ``dgetrs`` come from scipy's LAPACK extension
+``scipy/linalg/_flapack*``, loaded from its file: the ``scipy.linalg``
+package init is most of a ``zeigen`` process's time.  It is the binary
+``scipy.linalg.lapack`` re-exports, so results are identical; that public
+module is used only when the file cannot be found or loaded.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import DimensionMismatch, PerturbationExhausted, SingularBordered, SingularShift
 
@@ -19,6 +28,31 @@ RCOND_THRESHOLD = 1e-12
 EPS_BASE = 1e-8
 EPS_FACTOR = 2.0
 EPS_ATTEMPTS = 41
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_lapack():
+    """scipy's LAPACK module, registered under its own name so that a later
+    ``import scipy.linalg`` reuses it."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    try:
+        spec = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+        files = [os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+                 for suffix in EXTENSION_SUFFIXES] if spec else []
+        path = next(filter(os.path.isfile, files), None)
+        if path:
+            loader = ExtensionFileLoader(_FLAPACK, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+            loader.exec_module(module)
+            sys.modules[_FLAPACK] = module
+            return module
+    except (ImportError, OSError):
+        pass
+    return importlib.import_module("scipy.linalg.lapack")
+
+
+lapack = _load_lapack()
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,19 @@ any float of any iterate, in a flag or in a status shows up here, so a
 change meant to be behaviour-preserving (a faster kernel, a reused
 factorization) must leave every file untouched.
 
+One MPNI ``--trace`` case also runs as ``python -m zeigen.cli`` in a fresh
+interpreter.  It is the one place where the LAPACK extension that
+``zeigen.linalg`` loads directly does the arithmetic with ``scipy.linalg``
+never imported.
+
 After a deliberate behaviour change, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review the diff.
 """
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -53,6 +60,14 @@ def _run(argv: list[str]) -> str:
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert _run(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", ["solve_mpni_cubic3.json"])
+def test_cli_process_matches_golden(name):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "zeigen.cli", *CASES[name]],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, check=True)
+    assert proc.stdout == (GOLDEN_DIR / name).read_bytes()
 
 
 if __name__ == "__main__":
