@@ -2,17 +2,28 @@
 
 A tensor of order ``m`` and dimension ``n`` is stored as a list of
 ``(index tuple, value)`` pairs with 1-based indices; unlisted entries are
-zero.  The kernels gather ``x`` once per index position (a contiguous
-column of the column-major indices), multiply the columns out left to
-right and scatter with ``np.add.at``: a few whole-array numpy calls per
-position, ``O(nnz * m)`` work for ``apply`` and ``O(nnz * m^2)`` for
-``jacobian_T``.
+zero.  Each :class:`Tensor` builds a read-only index plan once.  For
+each variable position ``p = 2..m`` it holds the index, into the flat
+``d``-fold outer power ``x ⊗ ... ⊗ x``, of the first ``d`` of the other
+variable positions, and the rest of them as columns; it also holds the
+cells ``i1 * n + ip`` of ``T(x)``, concatenated over ``p``.  ``d`` is the
+largest depth ``<= m-2`` with ``n^d <= nnz``, so the table is never
+larger than the tensor.  ``jacobian_T`` takes from the table for every
+position at once, multiplies in the leftover columns and the values, and
+scatters with one ``np.bincount`` over all cells; ``apply`` does so for
+the last position only, times ``x[i_m]``.  Index arrays are the smallest
+of uint8, uint16 and intp that holds them.
+
+The bits are those of one gather per position, products left to right
+and ``np.add.at`` position after position: a table entry is the same
+products in the same order, and ``bincount`` adds into each bin in input
+order from ``+0.0``, as successive ``np.add.at`` calls do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,20 +43,81 @@ from .errors import (
 # projection must not create huge spurious ratios.
 RATIO_ZERO_TOL = 1e-14
 
+# The 0-fold outer power of x: the empty product.
+_ONE = np.ones(1)
+_ONE.setflags(write=False)
+
+
+class _Plan(NamedTuple):
+    """Read-only index arrays of one tensor for its kernels."""
+
+    depth: int  # d: the table is the d-fold outer power of x
+    flats: np.ndarray  # (m-1, nnz): table index of the first d other positions of p
+    rests: np.ndarray  # (m-2-d, m-1, nnz): the other positions after those, in order
+    rows: np.ndarray  # (nnz,): i1
+    last: np.ndarray  # (nnz,): im
+    cells: np.ndarray  # ((m-1) * nnz,): i1 * n + ip, for p = 2..m in turn
+
+
+def _index_dtype(bound: int) -> type:
+    """The first of uint8, uint16 and intp that holds ``bound``.  Not uint64,
+    which ``np.bincount`` cannot cast safely to intp, nor uint32, whose cast
+    was not checked on numpy 1.24."""
+    return next((t for t in (np.uint8, np.uint16) if bound <= np.iinfo(t).max), np.intp)
+
+
+def _build_plan(m: int, n: int, indices: np.ndarray) -> _Plan:
+    nnz = len(indices)
+    depth = 0
+    while depth < m - 2 and n ** (depth + 1) <= nnz:
+        depth += 1
+    # filled one position at a time, so no (m-1, nnz) intp temporary exists
+    flats = np.empty((m - 1, nnz), dtype=_index_dtype(n**depth - 1))
+    rests = np.empty((m - 2 - depth, m - 1, nnz), dtype=_index_dtype(n - 1))
+    cells = np.empty((m - 1, nnz), dtype=_index_dtype(n * n - 1))
+    for row, p in enumerate(range(1, m)):
+        others = [q for q in range(1, m) if q != p]
+        flat = 0
+        for q in others[:depth]:
+            flat = flat * n + indices[:, q]
+        flats[row] = flat
+        for j, q in enumerate(others[depth:]):
+            rests[j, row] = indices[:, q]
+        cells[row] = indices[:, 0] * n + indices[:, p]
+    rows = indices[:, 0].astype(_index_dtype(n - 1))
+    last = indices[:, m - 1].astype(_index_dtype(n - 1))
+    for part in (flats, rests, cells, rows, last):
+        part.setflags(write=False)
+    return _Plan(depth, flats, rests, rows, last, cells.reshape(-1))
+
+
+def _power_table(x: np.ndarray, depth: int) -> np.ndarray:
+    """Flat ``depth``-fold outer power of ``x``, each entry multiplied left to right."""
+    table = _ONE if depth == 0 else x
+    for _ in range(depth - 1):
+        table = np.multiply.outer(table, x).ravel()
+    return table
+
 
 @dataclass(frozen=True)
 class Tensor:
     """Immutable nonnegative tensor of order ``m`` and dimension ``n``.
 
     ``indices`` has shape (nnz, m) with 0-based entries (column-major when
-    built by :func:`build_tensor`); ``values`` has shape (nnz,).  Instances
-    are safe to share across concurrent solves.
+    built by :func:`build_tensor`); ``values`` has shape (nnz,).  The
+    kernels' index plan (see the module docstring) is derived from these
+    once, at construction, and is read-only.  Instances are safe to share
+    across concurrent solves.
     """
 
     m: int
     n: int
     indices: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    _plan: _Plan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_plan", _build_plan(self.m, self.n, self.indices))
 
     @property
     def nnz(self) -> int:
@@ -111,12 +183,15 @@ def apply(A: Tensor, x) -> np.ndarray:
     ``(A x^{m-1})_i = sum A_{i i2 ... im} x_{i2} ... x_{im}``.
     """
     x = _check_vector(A, x)
-    out = np.zeros(A.n)
     if A.nnz == 0:
-        return out
-    cols = [x[A.indices[:, q]] for q in range(1, A.m)]
-    np.add.at(out, A.indices[:, 0], A.values * reduce(np.multiply, cols))
-    return out
+        return np.zeros(A.n)
+    plan = A._plan
+    prod = _power_table(x, plan.depth).take(plan.flats[-1])
+    for rest in plan.rests:
+        prod *= x.take(rest[-1])
+    prod *= x.take(plan.last)
+    prod *= A.values
+    return np.bincount(plan.rows, prod, minlength=A.n)
 
 
 def jacobian_T(A: Tensor, x) -> np.ndarray:
@@ -127,16 +202,14 @@ def jacobian_T(A: Tensor, x) -> np.ndarray:
     row i1, column ip.
     """
     x = _check_vector(A, x)
-    T = np.zeros((A.n, A.n))
     if A.nnz == 0:
-        return T
-    cols = [x[A.indices[:, q]] for q in range(1, A.m)]
-    row_start = A.indices[:, 0] * A.n
-    for p in range(1, A.m):
-        others = cols[: p - 1] + cols[p:]  # multiplied left to right, as np.prod does
-        partial = A.values * (reduce(np.multiply, others) if others else 1.0)
-        np.add.at(T.reshape(-1), row_start + A.indices[:, p], partial)
-    return T
+        return np.zeros((A.n, A.n))
+    plan = A._plan
+    partial = _power_table(x, plan.depth).take(plan.flats)
+    for rest in plan.rests:
+        partial *= x.take(rest)
+    partial *= A.values
+    return np.bincount(plan.cells, partial.ravel(), minlength=A.n * A.n).reshape(A.n, A.n)
 
 
 def residual(A: Tensor, x, lam: float) -> float:
