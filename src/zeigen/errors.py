@@ -37,30 +37,26 @@ class NegativeInput(ZeigenError, ValueError):
     """A vector that must be nonnegative has negative components."""
 
 
-class SingularShift(ZeigenError):
-    """The shifted matrix (lambda*I - T) is singular or nearly singular."""
+class _DiagnosedError(ZeigenError):
+    """An error that carries the solver's ``diagnostics`` (None if none)."""
 
     def __init__(self, message: str, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics
 
 
-class SingularBordered(ZeigenError):
+class SingularShift(_DiagnosedError):
+    """The shifted matrix (lambda*I - T) is singular or nearly singular."""
+
+
+class SingularBordered(_DiagnosedError):
     """The bordered matrix [[lambda*I - T, x], [e^T, 0]] is singular or
     nearly singular."""
 
-    def __init__(self, message: str, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
-
-class PerturbationExhausted(ZeigenError):
+class PerturbationExhausted(_DiagnosedError):
     """Every shift perturbation in the schedule still left the matrix
     singular."""
-
-    def __init__(self, message: str, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 class ZeroDenominator(ZeigenError):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InsufficientData
 from .solvers import IterationTrace, SolveReport, SolverConfig, solve
-from .tensor import Iterate, Tensor, apply, build_tensor, jacobian_T
+from .tensor import Iterate, Tensor, _tensor, apply, jacobian_T
 
 # Error window for order fitting: below the floor the sequence is rounding
 # noise, above the ceiling it is outside the local basin.
@@ -178,12 +178,7 @@ def random_tensor(m: int, n: int, density: float, seed: int) -> Tensor:
     rng = np.random.default_rng(seed)
     flat = rng.choice(total, size=count, replace=False)
     grid = np.unravel_index(flat, (n,) * m)
-    values = rng.random(count)
-    entries = [
-        (tuple(int(grid[axis][row]) + 1 for axis in range(m)), values[row])
-        for row in range(count)
-    ]
-    return build_tensor(m, n, entries)
+    return _tensor(m, n, np.stack(grid, axis=1) + 1, rng.random(count))
 
 
 def fd_check(A: Tensor, x, h: float = 1e-6) -> float:

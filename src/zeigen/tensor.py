@@ -1,8 +1,8 @@
 """Nonnegative tensors in coordinate form and their multilinear kernels.
 
-A tensor of order ``m`` and dimension ``n`` is stored as a list of
-``(index tuple, value)`` pairs with 1-based indices; unlisted entries are
-zero.  Each :class:`Tensor` builds a read-only index plan once.  For
+A tensor of order ``m`` and dimension ``n`` is given as ``(index tuple,
+value)`` pairs with 1-based indices; unlisted entries are zero.  Each
+:class:`Tensor` builds a read-only index plan once.  For
 each variable position ``p = 2..m`` it holds the index, into the flat
 ``d``-fold outer power ``x ⊗ ... ⊗ x``, of the first ``d`` of the other
 variable positions, and the rest of them as columns; it also holds the
@@ -133,42 +133,63 @@ class Iterate:
     residual_norm: float
 
 
-def build_tensor(m: int, n: int, entries) -> Tensor:
-    """Validate ``entries`` (1-based index tuples to nonnegative values)
-    and build a :class:`Tensor`.
-
-    Raises :class:`BadArity`, :class:`IndexOutOfRange`,
-    :class:`NegativeEntry` or :class:`DuplicateIndexTuple` on invalid input.
-    """
+def _tensor(m: int, n: int, rows, vals, lines=None, source="") -> Tensor:
+    """Check 1-based index ``rows`` and their values ``vals`` (a fresh float
+    array, kept) as arrays and build the :class:`Tensor`; the first offending
+    row decides the error.  With ``lines``, messages start ``source:line:``."""
     if m < 2:
         raise ValueError(f"tensor order must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"tensor dimension must be >= 1, got {n}")
-
-    entries = list(entries)
-    idx = np.zeros((len(entries), m), dtype=np.intp, order="F")
-    vals = np.zeros(len(entries))
-    seen: set[tuple[int, ...]] = set()
-    for row, (tup, value) in enumerate(entries):
-        tup = tuple(int(i) for i in tup)
-        if len(tup) != m:
-            raise BadArity(f"index tuple {tup} has {len(tup)} indices, expected {m}")
-        if any(i < 1 or i > n for i in tup):
-            raise IndexOutOfRange(f"index tuple {tup} out of range [1, {n}]")
-        value = float(value)
+    idx = np.empty((len(vals), m), dtype=np.intp, order="F")  # the stored layout
+    try:
+        idx[:] = np.array(rows, dtype=np.intp).reshape(idx.shape)
+    except OverflowError:  # beyond intp, so out of range for any n
+        idx[:] = [[min(max(int(i), 0), n + 1) for i in row] for row in rows]
+    out = (idx.min(axis=1) < 1) | (idx.max(axis=1) > n)
+    order = np.lexsort(idx.T)  # stable: equal rows end up adjacent, in input order
+    ranked = idx[order]
+    repeat = np.zeros(len(vals), dtype=bool)
+    repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
+    bad = out | ~np.isfinite(vals) | (vals < 0) | repeat
+    if bad.any():
+        k = int(bad.argmax())
+        tup, value = tuple(int(i) for i in rows[k]), float(vals[k])
+        at = "" if lines is None else f"{source}:{lines[k]}: "
+        if out[k]:
+            raise IndexOutOfRange(f"{at}index tuple {tup} out of range [1, {n}]")
         if not np.isfinite(value):
-            raise NegativeEntry(f"entry {tup} has non-finite value {value}")
+            raise NegativeEntry(f"{at}entry {tup} has non-finite value {value}")
         if value < 0:
-            raise NegativeEntry(f"entry {tup} has negative value {value}")
-        if tup in seen:
+            raise NegativeEntry(f"{at}entry {tup} has negative value {value}")
+        if lines is None:
             raise DuplicateIndexTuple(f"index tuple {tup} appears more than once")
-        seen.add(tup)
-        idx[row] = [i - 1 for i in tup]
-        vals[row] = value
-
+        first = int((idx[:k] == idx[k]).all(axis=1).argmax())
+        raise DuplicateIndexTuple(f"{at}index tuple {tup} already defined on line {lines[first]}")
+    del out, order, ranked, repeat, bad  # the plan below reuses their memory
+    idx -= 1
     idx.setflags(write=False)
     vals.setflags(write=False)
     return Tensor(m=int(m), n=int(n), indices=idx, values=vals)
+
+
+def build_tensor(m: int, n: int, entries) -> Tensor:
+    """Validate ``entries`` (1-based index tuples to nonnegative values)
+    and build a :class:`Tensor`.
+
+    One validator, shared with file parsing and ``random_tensor``, checks
+    the entries as arrays; the first offending entry in input order decides
+    the error: :class:`BadArity`, :class:`IndexOutOfRange`,
+    :class:`NegativeEntry` or :class:`DuplicateIndexTuple`.
+    """
+    entries = list(entries)
+    short = next((k for k, (tup, _) in enumerate(entries) if len(tup) != m), len(entries))
+    rows = [tup for tup, _ in entries[:short]]
+    tensor = _tensor(m, n, rows, np.array([v for _, v in entries[:short]], dtype=float))
+    if short < len(entries):  # raised only once the entries before it passed
+        tup = tuple(int(i) for i in entries[short][0])
+        raise BadArity(f"index tuple {tup} has {len(tup)} indices, expected {m}")
+    return tensor
 
 
 def _check_vector(A: Tensor, x) -> np.ndarray:
@@ -273,61 +294,48 @@ def parse_tensor_text(text: str, source: str = "<string>") -> Tensor:
 
     First non-comment line is ``m n``; each following line is
     ``i1 i2 ... im value`` (1-based, whitespace-separated).  ``#`` starts
-    a comment.  Raises :class:`TensorFormatError` naming the offending
-    line, or a construction error for semantic problems.
+    a comment.  Lines are checked here for format only, then go to the
+    validator :func:`build_tensor` uses.  The first offending line decides
+    the error, and its message starts ``source:line:``.
     """
-    header: tuple[int, int] | None = None
-    entries: list[tuple[tuple[int, ...], float]] = []
-    seen_lines: dict[tuple[int, ...], int] = {}
+    m = n = None  # from the header line
+    rows: list[list[int]] = []
+    vals: list[float] = []
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise TensorFormatError(
-                    f"{source}:{lineno}: header must be 'm n', got {raw.strip()!r}"
-                )
+        if m is None:
             try:
-                m, n = int(fields[0]), int(fields[1])
+                m, n = (int(f) for f in fields)  # a wrong count raises ValueError too
             except ValueError:
                 raise TensorFormatError(
-                    f"{source}:{lineno}: header must be two integers, got {raw.strip()!r}"
+                    f"{source}:{lineno}: header must be two integers 'm n', got {raw.strip()!r}"
                 ) from None
             if m < 2 or n < 1:
                 raise TensorFormatError(
                     f"{source}:{lineno}: need order >= 2 and dimension >= 1, got m={m} n={n}"
                 )
-            header = (m, n)
             continue
 
-        m, n = header
-        if len(fields) != m + 1:
-            raise TensorFormatError(
-                f"{source}:{lineno}: expected {m} indices and a value, got {len(fields)} fields"
-            )
         try:
-            tup = tuple(int(f) for f in fields[:m])
-            value = float(fields[m])
+            row = [int(f) for f in fields[:m]]
+            (value,) = (float(f) for f in fields[m:])  # one field after the indices
         except ValueError:
+            row = None
+        if row is None:  # an error in the lines before this one comes first
+            _tensor(m, n, rows, np.array(vals), lines, source)
             raise TensorFormatError(
-                f"{source}:{lineno}: could not parse entry {raw.strip()!r}"
-            ) from None
-        if any(i < 1 or i > n for i in tup):
-            raise IndexOutOfRange(f"{source}:{lineno}: index tuple {tup} out of range [1, {n}]")
-        if not np.isfinite(value) or value < 0:
-            raise NegativeEntry(f"{source}:{lineno}: entry {tup} has invalid value {value}")
-        if tup in seen_lines:
-            raise DuplicateIndexTuple(
-                f"{source}:{lineno}: index tuple {tup} already defined on line {seen_lines[tup]}"
+                f"{source}:{lineno}: expected {m} indices and a value, got {raw.strip()!r}"
             )
-        seen_lines[tup] = lineno
-        entries.append((tup, value))
+        rows.append(row)
+        vals.append(value)
+        lines.append(lineno)
 
-    if header is None:
+    if m is None:
         raise TensorFormatError(f"{source}: no header line 'm n' found")
-    return build_tensor(header[0], header[1], entries)
+    return _tensor(m, n, rows, np.array(vals), lines, source)
 
 
 def load_tensor(path) -> Tensor:

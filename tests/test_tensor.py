@@ -58,9 +58,47 @@ class TestBuildTensor:
         with pytest.raises(ValueError):
             build_tensor(3, 0, [])
 
+    def test_random_tensor_checks_order_and_dimension(self):
+        with pytest.raises(ValueError, match="order must be >= 2, got 1"):
+            random_tensor(1, 3, 0.5, 0)
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            random_tensor(2, 0, 0.5, 0)
+
     def test_entries_immutable(self, quartic2):
         with pytest.raises(ValueError):
             quartic2.values[0] = 5.0
+
+    def test_tuples_whose_flat_indices_differ_by_2_to_the_64_are_distinct(self):
+        # sum (i_k - 1) * 20^(16-k) of the first tuple is exactly 2**64, and
+        # 0 for the second: an int64 flat index would call them equal
+        far = (1, 12, 6, 4, 12, 20, 18, 1, 8, 12, 15, 5, 14, 20, 1, 17)
+        A = build_tensor(16, 20, [(far, 1.0), ((1,) * 16, 2.0)])
+        assert A.nnz == 2
+
+    def test_first_offending_entry_decides(self):
+        with pytest.raises(NegativeEntry):
+            build_tensor(2, 2, [((1, 1), -1.0), ((3, 1), 1.0)])
+        with pytest.raises(IndexOutOfRange):
+            build_tensor(2, 2, [((3, 1), 1.0), ((1, 1), -1.0)])
+        with pytest.raises(DuplicateIndexTuple):
+            build_tensor(2, 2, [((1, 2), 1.0), ((1, 2), 2.0), ((1,), 1.0)])
+        with pytest.raises(BadArity):
+            build_tensor(2, 2, [((1, 2), 1.0), ((1,), 1.0), ((1, 2), 2.0)])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(NegativeEntry, match=f"has non-finite value {value}$"):
+            build_tensor(2, 2, [((1, 1), 1.0), ((2, 1), value)])
+        with pytest.raises(NegativeEntry, match="^<string>:3: "):
+            parse_tensor_text(f"2 2\n1 1 1.0\n2 1 {value}\n")
+
+    def test_index_beyond_int64_is_out_of_range(self):
+        with pytest.raises(IndexOutOfRange, match=str(2**70)):
+            build_tensor(2, 2, [((1, 1), 1.0), ((1, 2**70), 1.0)])
+        with pytest.raises(NegativeEntry):
+            build_tensor(2, 2, [((1, 1), -1.0), ((1, -(2**70)), 1.0)])
+        with pytest.raises(IndexOutOfRange, match="^<string>:2: "):
+            parse_tensor_text(f"2 2\n1 {2**70} 1.0\n")
 
 
 class TestApply:
@@ -266,3 +304,11 @@ class TestTextFormat:
     def test_negative_value(self):
         with pytest.raises(NegativeEntry):
             parse_tensor_text("3 2\n1 1 2 -0.5\n")
+
+    def test_first_offending_line_decides(self):
+        with pytest.raises(IndexOutOfRange, match="^<string>:2: "):
+            parse_tensor_text("2 2\n1 3 1.0\n1 oops 1.0\n")
+        with pytest.raises(TensorFormatError, match="^<string>:2: "):
+            parse_tensor_text("2 2\n1 oops 1.0\n1 3 1.0\n")
+        with pytest.raises(DuplicateIndexTuple, match="^<string>:4: .* line 2$"):
+            parse_tensor_text("2 2\n1 2 1.0\n2 2 1.0\n1 2 1.0\n1 2 3 1.0\n")
