@@ -73,15 +73,10 @@ def simplex_start(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def multi_start(
-    A: Tensor,
-    num_starts: int,
-    seed: int,
-    config: SolverConfig | None = None,
-    x_tol: float = 1e-8,
-    lambda_tol: float = 1e-8,
+    A: Tensor, num_starts: int, seed: int, config: SolverConfig | None = None
 ) -> EigenpairSet:
     """Run the configured solver from ``num_starts`` random simplex starts
-    and collect the distinct converged eigenpairs.
+    and collect the distinct converged eigenpairs (see :func:`dedup`).
 
     Deterministic for a fixed seed; failed runs are excluded from the pairs
     and recorded with their status.
@@ -107,7 +102,7 @@ def multi_start(
             )
         else:
             failures.append(RunFailure(start=x0, status=report.status, reason=report.failure_reason))
-    result = dedup(found, x_tol, lambda_tol)
+    result = dedup(found)
     result.failures = failures
     return result
 

@@ -24,7 +24,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, PerturbationExhausted, SingularBordered, SingularShift
 
+# A matrix whose rcond estimate falls below this counts as singular.
 RCOND_THRESHOLD = 1e-12
+# The shift perturbation schedule of ensure_bordered_nonsingular.
 EPS_BASE = 1e-8
 EPS_FACTOR = 2.0
 EPS_ATTEMPTS = 41
@@ -61,9 +63,12 @@ class SolveDiagnostics:
     matrix's ``(lu, piv)`` when :func:`ensure_bordered_nonsingular` made it."""
 
     rcond: float
-    singular: bool
     perturbation: float = 0.0
     lu: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def singular(self) -> bool:
+        return self.rcond < RCOND_THRESHOLD
 
 
 def bordered_matrix(lam: float, T: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -113,16 +118,11 @@ def bordered_rcond(lam: float, T: np.ndarray, x: np.ndarray) -> float:
     return rcond
 
 
-def solve_shifted(
-    lam: float,
-    T: np.ndarray,
-    b: np.ndarray,
-    rcond_threshold: float = RCOND_THRESHOLD,
-) -> tuple[np.ndarray, SolveDiagnostics]:
+def solve_shifted(lam: float, T: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve ``(lam*I - T) w = b``.
 
     Raises :class:`SingularShift` when the reciprocal condition estimate
-    falls below ``rcond_threshold``.
+    falls below ``RCOND_THRESHOLD``.
     """
     T = np.asarray(T, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -130,7 +130,7 @@ def solve_shifted(
     if T.shape != (n, n):
         raise DimensionMismatch(f"T has shape {T.shape}, expected ({n}, {n})")
     lu, piv, rcond = _factor(lam * np.eye(n) - T)
-    diag = SolveDiagnostics(rcond=rcond, singular=rcond < rcond_threshold)
+    diag = SolveDiagnostics(rcond=rcond)
     if diag.singular:
         raise SingularShift(
             f"shift lam={lam!r} is singular or nearly singular (rcond={rcond:.3e})",
@@ -145,7 +145,6 @@ def solve_bordered(
     x: np.ndarray,
     r: np.ndarray,
     s: float,
-    rcond_threshold: float = RCOND_THRESHOLD,
     factored: SolveDiagnostics | None = None,
 ) -> tuple[np.ndarray, float, SolveDiagnostics]:
     """Solve ``[[lam*I - T, x], [e^T, 0]] [d; delta] = [r; s]``.
@@ -163,7 +162,7 @@ def solve_bordered(
         (lu, piv), diag = factored.lu, factored
     else:
         lu, piv, rcond = _factor(bordered_matrix(lam, T, x))
-        diag = SolveDiagnostics(rcond=rcond, singular=rcond < rcond_threshold)
+        diag = SolveDiagnostics(rcond=rcond)
     if diag.singular:
         raise SingularBordered(
             f"bordered matrix at lam={lam!r} is singular or nearly singular "
@@ -176,37 +175,29 @@ def solve_bordered(
 
 
 def ensure_bordered_nonsingular(
-    lam: float,
-    T: np.ndarray,
-    x: np.ndarray,
-    rcond_threshold: float = RCOND_THRESHOLD,
-    eps_base: float = EPS_BASE,
-    eps_factor: float = EPS_FACTOR,
-    eps_attempts: int = EPS_ATTEMPTS,
+    lam: float, T: np.ndarray, x: np.ndarray
 ) -> tuple[float, SolveDiagnostics]:
     """Return a shift ``lam'`` whose bordered matrix is not flagged singular.
 
-    When the matrix at ``lam`` is (near-)singular, tries
-    ``lam + max(1, |lam|) * eps_base * eps_factor**j`` for
-    ``j = 0, 1, ...``.  The bordered determinant is a polynomial of degree
-    n-1 in the shift, so only finitely many shifts are bad; the schedule is
-    still bounded and raises :class:`PerturbationExhausted` if every
-    candidate fails.  The returned report carries the LU of the accepted
-    matrix for :func:`solve_bordered`.
+    When the matrix at ``lam`` has rcond below ``RCOND_THRESHOLD``, tries
+    ``lam + max(1, |lam|) * EPS_BASE * EPS_FACTOR**j`` for
+    ``j = 0, ..., EPS_ATTEMPTS - 1``.  The bordered determinant is a
+    polynomial of degree n-1 in the shift, so only finitely many shifts are
+    bad; the schedule is still bounded and raises
+    :class:`PerturbationExhausted` if every candidate fails.  The returned
+    report carries the LU of the accepted matrix for :func:`solve_bordered`.
     """
     scale = max(1.0, abs(lam))
     candidate, eps = float(lam), 0.0
-    for j in range(-1, eps_attempts):  # j = -1 tries lam itself
+    for j in range(-1, EPS_ATTEMPTS):  # j = -1 tries lam itself
         if j >= 0:
-            eps = scale * eps_base * eps_factor**j
+            eps = scale * EPS_BASE * EPS_FACTOR**j
             candidate = float(lam + eps)
         lu, piv, rcond = _factor(bordered_matrix(candidate, T, x))
-        if rcond >= rcond_threshold:
-            return candidate, SolveDiagnostics(
-                rcond=rcond, singular=False, perturbation=eps, lu=(lu, piv)
-            )
+        if rcond >= RCOND_THRESHOLD:
+            return candidate, SolveDiagnostics(rcond=rcond, perturbation=eps, lu=(lu, piv))
     raise PerturbationExhausted(
-        f"no shift perturbation of lam={lam!r} in {eps_attempts} attempts made the "
+        f"no shift perturbation of lam={lam!r} in {EPS_ATTEMPTS} attempts made the "
         f"bordered matrix nonsingular (last rcond={rcond:.3e})",
-        diagnostics=SolveDiagnostics(rcond=rcond, singular=True, perturbation=eps),
+        diagnostics=SolveDiagnostics(rcond=rcond, perturbation=eps),
     )

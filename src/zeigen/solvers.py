@@ -36,13 +36,7 @@ from .errors import (
     ZeroDenominator,
     ZeroVector,
 )
-from .linalg import (
-    RCOND_THRESHOLD,
-    SolveDiagnostics,
-    ensure_bordered_nonsingular,
-    solve_bordered,
-    solve_shifted,
-)
+from .linalg import SolveDiagnostics, ensure_bordered_nonsingular, solve_bordered, solve_shifted
 from .tensor import Iterate, Tensor, apply, jacobian_T, ratio_bounds
 
 METHODS = ("newton", "mni", "pni", "mpni")
@@ -160,7 +154,6 @@ def newton_step_bordered(
     A: Tensor,
     x: np.ndarray,
     lam: float,
-    rcond_threshold: float = RCOND_THRESHOLD,
     T: np.ndarray | None = None,
     ax: np.ndarray | None = None,
     factored: SolveDiagnostics | None = None,
@@ -179,15 +172,12 @@ def newton_step_bordered(
         ax = apply(A, x)
     r = lam * x - ax
     s = float(x.sum() - 1.0)
-    d, delta, _ = solve_bordered(lam, T, x, r, s, rcond_threshold, factored)
+    d, delta, _ = solve_bordered(lam, T, x, r, s, factored=factored)
     return x - d, float(lam - delta)
 
 
 def newton_step_closed(
-    A: Tensor,
-    x: np.ndarray,
-    lam: float,
-    rcond_threshold: float = RCOND_THRESHOLD,
+    A: Tensor, x: np.ndarray, lam: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """The same Newton step in closed form, via w = (lam*I - T)^{-1} x:
 
@@ -200,7 +190,7 @@ def newton_step_closed(
     ``(x_next, lam_next, w)``.
     """
     x = np.asarray(x, dtype=float)
-    w_hat, _ = solve_shifted(lam, jacobian_T(A, x), x, rcond_threshold)
+    w_hat, _ = solve_shifted(lam, jacobian_T(A, x), x)
     e_w = float(w_hat.sum())
     if abs(e_w) < ZERO_DENOM_TOL * np.linalg.norm(w_hat, 1):
         raise ZeroDenominator(
@@ -260,8 +250,8 @@ def pni_select_lambda(lam_hat: float, lam_low: float, lam_high: float, beta: flo
 
 
 def _check_start(A: Tensor, x0, cone: str) -> np.ndarray:
-    """Validate a start vector: 'open' needs x0 > 0, 'closed' needs x0 >= 0
-    (nonzero), 'any' only finiteness; both cone modes need unit 1-norm."""
+    """The one judge of a start vector: finite entries summing to 1, and
+    besides that x0 > 0 for 'open', x0 >= 0 for 'closed', nothing for 'any'."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (A.n,):
         raise DimensionMismatch(f"start vector must have length {A.n}, got shape {x0.shape}")
@@ -269,10 +259,10 @@ def _check_start(A: Tensor, x0, cone: str) -> np.ndarray:
         raise ValueError("start vector must be finite")
     if cone == "open" and not np.all(x0 > 0):
         raise ValueError("start vector must be strictly positive")
-    if cone == "closed" and (np.any(x0 < 0) or not np.any(x0 > 0)):
-        raise ValueError("start vector must be nonnegative and nonzero")
-    if cone != "any" and abs(x0.sum() - 1.0) > 1e-8:
-        raise ValueError(f"start vector must sum to 1, got {x0.sum()!r}")
+    if cone == "closed" and np.any(x0 < 0):
+        raise ValueError("start vector must be nonnegative with a positive entry")
+    if abs(x0.sum() - 1.0) > 1e-8:
+        raise ValueError(f"start vector must sum to 1, got {float(x0.sum())!r}")
     return x0
 
 
@@ -345,15 +335,16 @@ def _iterate(method, cfg, x, lam, ax, fields, step, check=None) -> SolveReport:
     return SolveReport(method, status, final, k, trace, failure_reason=reason)
 
 
-def run_newton(A: Tensor, x0, lam0: float, config: SolverConfig | None = None) -> SolveReport:
-    """Plain Newton iteration from ``(x0, lam0)``; no projection, no clamp."""
-    return _newton(A, x0, float(lam0), config or SolverConfig(method="newton"))
+def run_newton(
+    A: Tensor, x0, lam0: float | None = None, config: SolverConfig | None = None
+) -> SolveReport:
+    """Plain Newton iteration from ``(x0, lam0)``; no projection, no clamp.
 
-
-def _newton(A: Tensor, x0, lam0: float | None, cfg: SolverConfig) -> SolveReport:
-    """Plain Newton; ``lam0=None`` starts from the upper ratio bound at
-    ``x0``, taken from the same contraction as the first residual."""
-    x = _check_start(A, x0, cone="any")
+    ``lam0=None`` starts from the upper ratio bound at ``x0``, taken from the
+    same contraction as the first residual; that bound needs ``x0 >= 0``.
+    With a ``lam0``, ``x0`` need only be finite.  Either way ``x0`` sums to 1.
+    """
+    x = _check_start(A, x0, cone="closed" if lam0 is None else "any")
     ax = apply(A, x)
     lam = ratio_bounds(ax, x)[1] if lam0 is None else float(lam0)
 
@@ -367,7 +358,7 @@ def _newton(A: Tensor, x0, lam0: float | None, cfg: SolverConfig) -> SolveReport
             ) from None
         return x, lam, _contract(A, x), {"lam_hat": lam}
 
-    return _iterate("newton", cfg, x, lam, ax, {}, step)
+    return _iterate("newton", config or SolverConfig(method="newton"), x, lam, ax, {}, step)
 
 
 def _shifted_or_none(lam, T, x):
@@ -571,5 +562,5 @@ def solve(
     """
     cfg = config or SolverConfig()
     if cfg.method == "newton":
-        return _newton(A, x0, lam0, cfg)
+        return run_newton(A, x0, lam0, cfg)
     return {"mni": run_mni, "pni": run_pni, "mpni": run_mpni}[cfg.method](A, x0, cfg)

@@ -18,8 +18,9 @@ from hypothesis import settings
 from zeigen import build_tensor
 
 # Hypothesis tests that set no max_examples of their own (the kernel and
-# tensor-build bit-identity properties) run 300 examples in tier-1; CI runs
-# those properties once more with --hypothesis-profile kernel-identity-ci.
+# tensor-build bit-identity properties and the solver contract) run 300
+# examples in tier-1; CI runs those properties once more with
+# --hypothesis-profile kernel-identity-ci.
 settings.register_profile("tier1", max_examples=300)
 settings.register_profile("kernel-identity-ci", max_examples=3000)
 settings.load_profile("tier1")

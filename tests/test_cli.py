@@ -104,6 +104,16 @@ class TestSolve:
         assert code == 1
         assert "positive" in err
 
+    def test_boundary_start_follows_the_solver_rule(self, capsys, quartic2_path):
+        # mpni accepts a start on the boundary of the cone, mni needs x0 > 0
+        argv = ("solve", "--tensor", str(quartic2_path), "--x0", "1,0", "--no-timestamp")
+        code, out, _ = run_cli(capsys, *argv, "--method", "mpni")
+        assert code == 0
+        assert json.loads(out)["eigenvalue"] == pytest.approx(1.1, abs=1e-12)
+        code, _, err = run_cli(capsys, *argv, "--method", "mni")
+        assert code == 1
+        assert "positive" in err
+
     def test_unknown_flag_exits_one(self, capsys, quartic2_path):
         code, _, err = run_cli(
             capsys, "solve", "--tensor", str(quartic2_path), "--frobnicate"

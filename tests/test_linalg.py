@@ -137,17 +137,19 @@ class TestEnsureBorderedNonsingular:
         assert diag2.perturbation == 0.0
 
     def test_exhaustion_on_hopeless_schedule(self):
-        # a schedule of zero-length perturbations cannot escape the root
+        # a zero border column leaves the bordered matrix singular at every shift
         T = np.diag([1.0, 2.0])
-        x = np.array([0.5, 0.5])
-        with pytest.raises(PerturbationExhausted):
-            ensure_bordered_nonsingular(1.5, T, x, eps_base=0.0, eps_attempts=5)
+        with pytest.raises(PerturbationExhausted) as exc_info:
+            ensure_bordered_nonsingular(1.5, T, np.zeros(2))
+        assert exc_info.value.diagnostics.singular
+        assert exc_info.value.diagnostics.perturbation > 0
 
-    def test_exhaustion_without_attempts(self):
+    def test_exhaustion_without_attempts(self, monkeypatch):
+        monkeypatch.setattr("zeigen.linalg.EPS_ATTEMPTS", 0)
         T = np.diag([1.0, 2.0])
         x = np.array([0.5, 0.5])
         with pytest.raises(PerturbationExhausted):
-            ensure_bordered_nonsingular(1.5, T, x, eps_attempts=0)
+            ensure_bordered_nonsingular(1.5, T, x)
 
     def test_returned_lu_solves_like_a_fresh_factorization(self):
         T = np.diag([1.0, 2.0])

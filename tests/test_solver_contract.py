@@ -1,11 +1,14 @@
 """The contract every solver keeps, on random small tensors.
 
-For any valid start, ``solve`` returns a report and does not raise; the
-status is one of the five documented values; the trace holds one record
-per iterate reached (``iterations`` or ``iterations + 1`` of them); and a
-``converged`` report certifies its final iterate: residual below ``tol``,
-unit 1-norm, equal to the last trace record, and nonnegative for the
-methods that keep the iterate in the cone.
+For any start the solver accepts, ``solve`` returns a report and does not
+raise.  The starts reach the boundary of what is accepted: zero entries
+for MPNI and for plain Newton from the ratio bound, and sign-mixed entries
+for plain Newton from a given shift.  The status is one of the five
+documented values; the trace holds one record per iterate reached
+(``iterations`` or ``iterations + 1`` of them); and a ``converged`` report
+certifies its final iterate: residual below ``tol``, unit 1-norm, equal to
+the last trace record, and nonnegative for the methods that keep the
+iterate in the cone.
 """
 
 import numpy as np
@@ -35,19 +38,29 @@ def problems(draw):
     ]
     weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
     method = draw(st.sampled_from(("newton", "mni", "pni", "mpni")))
+    lam0 = None
+    if method == "newton" and draw(st.booleans()):
+        lam0 = draw(st.floats(-1.0, 10.0))
+        if draw(st.booleans()):
+            # any finite start with unit sum
+            weights = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+            weights[-1] = 1.0 - weights[:-1].sum()
+    elif method in ("newton", "mpni"):
+        # zero entries, at least one positive entry left
+        weights[draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))] = 0.0
     config = SolverConfig(
         method=method,
         max_iter=draw(st.sampled_from((0, 1, 100))),
         beta_schedule=draw(st.sampled_from((None, (0.3,), (0.0, 0.5)))),
     )
-    return build_tensor(m, n, entries), weights / weights.sum(), config
+    return build_tensor(m, n, entries), weights / weights.sum(), config, lam0
 
 
-@settings(max_examples=300, deadline=None)
+@settings(deadline=None)
 @given(problems())
 def test_solver_contract(problem):
-    tensor, x0, config = problem
-    report = solve(tensor, x0, config)
+    tensor, x0, config, lam0 = problem
+    report = solve(tensor, x0, config, lam0=lam0)
     assert report.status in STATUSES
     assert report.method == config.method
     assert len(report.trace) in (report.iterations, report.iterations + 1)

@@ -1,6 +1,8 @@
 """Tests for the four iteration schemes, their projection operators, and
 the shift-selection rules."""
 
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -380,6 +382,28 @@ class TestRunNewton:
         report = run_newton(quartic2, [0.2, 0.8], 0.5, SolverConfig(max_iter=0))
         assert report.status == "max_iter"
         assert report.iterations == 0
+
+    def test_omitted_shift_matches_solve(self, quartic2, cubic3):
+        for A, x0 in ((quartic2, [0.2, 0.8]), (quartic2, [1.0, 0.0]), (cubic3, [0.4, 0.3, 0.3])):
+            direct = run_newton(A, x0)
+            routed = solve(A, x0, SolverConfig(method="newton"))
+            assert pickle.dumps(direct) == pickle.dumps(routed)
+
+    def test_start_must_sum_to_one(self, quartic2):
+        # a converged report certifies ||x||_1 = 1, so the start must have it
+        for lam0 in (None, 1.1):
+            with pytest.raises(ValueError, match=r"sum to 1, got 2\.0$"):
+                solve(quartic2, [2.0, 0.0], SolverConfig(method="newton"), lam0=lam0)
+
+    def test_omitted_shift_needs_nonnegative_start(self, quartic2):
+        # the upper ratio bound that stands in for lam0 is defined only for x >= 0
+        with pytest.raises(ValueError, match="nonnegative with a positive entry"):
+            solve(quartic2, [1.5, -0.5], SolverConfig(method="newton"))
+
+    def test_given_shift_allows_mixed_signs(self, quartic2):
+        report = solve(quartic2, [1.5, -0.5], SolverConfig(method="newton"), lam0=1.0)
+        assert report.converged
+        assert report.final.lam == pytest.approx(1.1, abs=1e-12)
 
 
 class TestDispatcher:
