@@ -167,6 +167,8 @@ def _config(args) -> SolverConfig:
 
 
 def cmd_solve(args) -> int:
+    if args.lambda0 is not None and args.method != "newton":
+        raise ValueError(f"--lambda0 applies only to --method newton, not {args.method}")
     tensor = load_tensor(args.tensor)
     config = _config(args)
     x0 = _parse_x0(args.x0, tensor)

@@ -6,10 +6,12 @@ here are small (the solvers target n up to a few dozen), so dense
 factorizations are the simplest correct choice.
 
 ``dgetrf``, ``dgecon`` and ``dgetrs`` come from scipy's LAPACK extension
-``scipy/linalg/_flapack*``, loaded from its file: the ``scipy.linalg``
-package init is most of a ``zeigen`` process's time.  It is the binary
-``scipy.linalg.lapack`` re-exports, so results are identical; that public
-module is used only when the file cannot be found or loaded.
+``scipy/linalg/_flapack*``, and the tensor kernels' ``coo_matvec`` from
+``scipy/sparse/_sparsetools*``.  Both are loaded from their files: the
+``scipy.linalg`` and ``scipy.sparse`` package inits are most of a
+``zeigen`` process's time.  They are the binaries those packages use, so
+results are identical; the package modules are imported only when a file
+cannot be found or loaded.
 """
 
 from __future__ import annotations
@@ -30,31 +32,34 @@ RCOND_THRESHOLD = 1e-12
 EPS_BASE = 1e-8
 EPS_FACTOR = 2.0
 EPS_ATTEMPTS = 41
-_FLAPACK = "scipy.linalg._flapack"
 
 
-def _load_lapack():
-    """scipy's LAPACK module, registered under its own name so that a later
-    ``import scipy.linalg`` reuses it."""
-    if _FLAPACK in sys.modules:
-        return sys.modules[_FLAPACK]
+def _load_extension(package: str, name: str, fallback: str):
+    """scipy's compiled module ``scipy.<package>.<name>``, loaded from its
+    file and registered under its own name so that a later import of the
+    package reuses it; else the module ``fallback``."""
+    full = f"scipy.{package}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
     try:
         spec = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
-        files = [os.path.join(spec.submodule_search_locations[0], "linalg", "_flapack" + suffix)
+        files = [os.path.join(spec.submodule_search_locations[0], package, name + suffix)
                  for suffix in EXTENSION_SUFFIXES] if spec else []
         path = next(filter(os.path.isfile, files), None)
         if path:
-            loader = ExtensionFileLoader(_FLAPACK, path)
-            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+            loader = ExtensionFileLoader(full, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(full, loader))
             loader.exec_module(module)
-            sys.modules[_FLAPACK] = module
+            sys.modules[full] = module
             return module
     except (ImportError, OSError):
         pass
-    return importlib.import_module("scipy.linalg.lapack")
+    return importlib.import_module(fallback)
 
 
-lapack = _load_lapack()
+lapack = _load_extension("linalg", "_flapack", "scipy.linalg.lapack")
+# y[i[k]] += a[k] * x[j[k]] for k in input order, with no bounds checks
+coo_matvec = _load_extension("sparse", "_sparsetools", "scipy.sparse._sparsetools").coo_matvec
 
 
 @dataclass(frozen=True)

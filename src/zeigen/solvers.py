@@ -557,10 +557,13 @@ def solve(
 ) -> SolveReport:
     """Run the method named in ``config`` (default MPNI) from ``x0``.
 
-    ``lam0`` is only consulted by plain Newton; when omitted there, the
-    upper ratio bound at ``x0`` is used.
+    ``lam0`` is plain Newton's starting shift; when omitted there, the
+    upper ratio bound at ``x0`` is used.  The other methods pick their own
+    shift, so they reject a ``lam0`` with ``ValueError``.
     """
     cfg = config or SolverConfig()
+    if lam0 is not None and cfg.method != "newton":
+        raise ValueError(f"lam0 is used only by method 'newton', not {cfg.method!r}")
     if cfg.method == "newton":
         return run_newton(A, x0, lam0, cfg)
     return {"mni": run_mni, "pni": run_pni, "mpni": run_mpni}[cfg.method](A, x0, cfg)

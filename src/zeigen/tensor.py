@@ -2,22 +2,27 @@
 
 A tensor of order ``m`` and dimension ``n`` is given as ``(index tuple,
 value)`` pairs with 1-based indices; unlisted entries are zero.  Each
-:class:`Tensor` builds a read-only index plan once.  For
-each variable position ``p = 2..m`` it holds the index, into the flat
-``d``-fold outer power ``x ⊗ ... ⊗ x``, of the first ``d`` of the other
-variable positions, and the rest of them as columns; it also holds the
-cells ``i1 * n + ip`` of ``T(x)``, concatenated over ``p``.  ``d`` is the
-largest depth ``<= m-2`` with ``n^d <= nnz``, so the table is never
-larger than the tensor.  ``jacobian_T`` takes from the table for every
-position at once, multiplies in the leftover columns and the values, and
-scatters with one ``np.bincount`` over all cells; ``apply`` does so for
-the last position only, times ``x[i_m]``.  Index arrays are the smallest
-of uint8, uint16 and intp that holds them.
+:class:`Tensor` builds a read-only index plan once.  ``apply`` and
+``jacobian_T`` take the products of ``x`` they need from the flat
+``d``-fold outer power ``x ⊗ ... ⊗ x``, ``d`` the largest depth with
+``n^d <= nnz`` (so the table is never larger than the tensor) and at most
+the number of factors: ``m-1`` for ``apply``, ``m-2`` for ``jacobian_T``.
+The kernels run in blocks: one for ``apply``, whose output cell is
+``i1`` (the first index column itself), and one per variable position
+``p = 2..m`` for ``jacobian_T``, whose output cells ``i1 * n + ip`` of
+``T(x)`` the plan holds.  The plan also holds each block's table index of
+every entry.  Index arrays are int32 unless ``n^2`` or ``nnz`` needs
+int64.  Each block is one call of scipy's compiled loop ``coo_matvec``,
+which does ``y[cell[k]] += values[k] * table[index[k]]`` for ``k`` in
+input order.  Factors the depth does not cover are multiplied into the
+taken table entries per term, and that product array is then the table,
+indexed by ``k`` itself.
 
 The bits are those of one gather per position, products left to right
-and ``np.add.at`` position after position: a table entry is the same
-products in the same order, and ``bincount`` adds into each bin in input
-order from ``+0.0``, as successive ``np.add.at`` calls do.
+and ``np.add.at`` position after position.  A table entry is the same
+products in the same order; ``values[k] * p`` is ``p * values[k]``; and
+each output cell starts at ``+0.0`` and adds its terms in input order,
+position after position, as successive ``np.add.at`` calls do.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .errors import (
     TensorFormatError,
     ZeroVector,
 )
+from .linalg import coo_matvec
 
 # Components of v smaller than RATIO_ZERO_TOL * ||v||_1 count as zero when
 # forming componentwise ratio bounds; floating-point dust left behind by a
@@ -51,44 +57,50 @@ _ONE.setflags(write=False)
 class _Plan(NamedTuple):
     """Read-only index arrays of one tensor for its kernels."""
 
-    depth: int  # d: the table is the d-fold outer power of x
-    flats: np.ndarray  # (m-1, nnz): table index of the first d other positions of p
-    rests: np.ndarray  # (m-2-d, m-1, nnz): the other positions after those, in order
-    rows: np.ndarray  # (nnz,): i1
-    last: np.ndarray  # (nnz,): im
-    cells: np.ndarray  # ((m-1) * nnz,): i1 * n + ip, for p = 2..m in turn
+    apply_depth: int  # apply's table is the apply_depth-fold outer power of x
+    jacobian_depth: int  # likewise for jacobian_T
+    flat: np.ndarray  # (nnz,): apply's table index, of i2, ... (the first apply_depth)
+    cells: np.ndarray  # (m-1, nnz): i1 * n + ip, for p = 2..m in turn
+    flats: np.ndarray  # (m-1, nnz): jacobian_T's table index, of the others of p
+    apply_rest: tuple  # the positions apply's table leaves out
+    jacobian_rests: tuple  # per p, the positions jacobian_T's table leaves out
 
 
-def _index_dtype(bound: int) -> type:
-    """The first of uint8, uint16 and intp that holds ``bound``.  Not uint64,
-    which ``np.bincount`` cannot cast safely to intp, nor uint32, whose cast
-    was not checked on numpy 1.24."""
-    return next((t for t in (np.uint8, np.uint16) if bound <= np.iinfo(t).max), np.intp)
+def _depth(n: int, nnz: int, factors: int) -> int:
+    """The largest ``d <= factors`` with ``n^d <= nnz``."""
+    depth = 0
+    while depth < factors and n ** (depth + 1) <= nnz:
+        depth += 1
+    return depth
 
 
 def _build_plan(m: int, n: int, indices: np.ndarray) -> _Plan:
-    nnz = len(indices)
-    depth = 0
-    while depth < m - 2 and n ** (depth + 1) <= nnz:
-        depth += 1
-    # filled one position at a time, so no (m-1, nnz) intp temporary exists
-    flats = np.empty((m - 1, nnz), dtype=_index_dtype(n**depth - 1))
-    rests = np.empty((m - 2 - depth, m - 1, nnz), dtype=_index_dtype(n - 1))
-    cells = np.empty((m - 1, nnz), dtype=_index_dtype(n * n - 1))
+    """The plan of checked ``indices`` of the kernels' index type."""
+    nnz, dtype = len(indices), indices.dtype
+    apply_depth = _depth(n, nnz, m - 1)
+    jacobian_depth = _depth(n, nnz, m - 2)
+
+    def flat_of(positions):
+        flat = 0
+        for q in positions:
+            flat = flat * n + indices[:, q]
+        return flat
+
+    # filled one block at a time, so no (m-1, nnz) temporary exists
+    flat = np.empty(nnz, dtype=dtype)
+    flat[:] = flat_of(range(1, 1 + apply_depth))
+    cells = np.empty((m - 1, nnz), dtype=dtype)
+    flats = np.empty((m - 1, nnz), dtype=dtype)
+    rests = []
     for row, p in enumerate(range(1, m)):
         others = [q for q in range(1, m) if q != p]
-        flat = 0
-        for q in others[:depth]:
-            flat = flat * n + indices[:, q]
-        flats[row] = flat
-        for j, q in enumerate(others[depth:]):
-            rests[j, row] = indices[:, q]
+        flats[row] = flat_of(others[:jacobian_depth])
         cells[row] = indices[:, 0] * n + indices[:, p]
-    rows = indices[:, 0].astype(_index_dtype(n - 1))
-    last = indices[:, m - 1].astype(_index_dtype(n - 1))
-    for part in (flats, rests, cells, rows, last):
+        rests.append(tuple(others[jacobian_depth:]))
+    for part in (flat, cells, flats):
         part.setflags(write=False)
-    return _Plan(depth, flats, rests, rows, last, cells.reshape(-1))
+    apply_rest = tuple(range(1 + apply_depth, m))
+    return _Plan(apply_depth, jacobian_depth, flat, cells, flats, apply_rest, tuple(rests))
 
 
 def _power_table(x: np.ndarray, depth: int) -> np.ndarray:
@@ -99,15 +111,31 @@ def _power_table(x: np.ndarray, depth: int) -> np.ndarray:
     return table
 
 
+def _scatter(A: Tensor, x, table, index, rest, cells, out) -> None:
+    """``out[cells[k]] += values[k] * table[index[k]]`` for every entry
+    ``k``, the table entry first multiplied by ``x`` at the positions
+    ``rest`` of entry ``k``, left to right."""
+    if rest:  # one product per term, then indexed by the term itself
+        table = table.take(index)
+        for q in rest:
+            table *= x.take(A.indices[:, q])
+        index = np.arange(A.nnz, dtype=index.dtype)
+    coo_matvec(A.nnz, cells, index, A.values, table, out)
+
+
 @dataclass(frozen=True)
 class Tensor:
     """Immutable nonnegative tensor of order ``m`` and dimension ``n``.
 
-    ``indices`` has shape (nnz, m) with 0-based entries (column-major when
-    built by :func:`build_tensor`); ``values`` has shape (nnz,).  The
-    kernels' index plan (see the module docstring) is derived from these
-    once, at construction, and is read-only.  Instances are safe to share
-    across concurrent solves.
+    ``indices`` has shape (nnz, m) with 0-based integer entries in
+    ``[0, n)``; the tensor keeps a read-only column-major copy in the
+    kernels' index type (int32 unless ``n^2`` or ``nnz`` needs int64).
+    ``values`` has shape (nnz,), finite and nonnegative, and is kept as a
+    float array.  The constructor checks these, since the compiled kernel
+    loop checks no bounds; it does not look for repeated index tuples,
+    which :func:`build_tensor` rejects.  The kernels' index plan (see the
+    module docstring) is derived once, at construction, and is read-only.
+    Instances are safe to share across concurrent solves.
     """
 
     m: int
@@ -117,7 +145,32 @@ class Tensor:
     _plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_plan", _build_plan(self.m, self.n, self.indices))
+        object.__setattr__(self, "m", int(self.m))  # Python ints: n * n must not wrap
+        object.__setattr__(self, "n", int(self.n))
+        if self.m < 2 or self.n < 1:
+            raise ValueError(f"need order >= 2 and dimension >= 1, got m={self.m} n={self.n}")
+        indices = np.asarray(self.indices)
+        values = np.ascontiguousarray(self.values, dtype=float)
+        if indices.dtype.kind not in "iu":
+            raise TypeError(f"indices must be an integer array, got dtype {indices.dtype}")
+        if values.ndim != 1 or indices.shape != (values.size, self.m):
+            raise DimensionMismatch(
+                f"expected indices of shape (nnz, {self.m}) and values of shape (nnz,), "
+                f"got {indices.shape} and {values.shape}"
+            )
+        if values.size and not (indices.min() >= 0 and indices.max() < self.n):
+            raise IndexOutOfRange(f"indices must lie in [0, {self.n - 1}]")
+        if values.size and not (values.min() >= 0 and values.max() < np.inf):  # NaN fails too
+            raise NegativeEntry("values must be finite and nonnegative")
+        # cells i1 * n + ip of T(x), table indices and term numbers all
+        # stay below max(n^2, nnz)
+        bound = max(self.n * self.n, values.size)
+        dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+        indices = np.array(indices, dtype=dtype, order="F")
+        indices.setflags(write=False)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_plan", _build_plan(self.m, self.n, indices))
 
     @property
     def nnz(self) -> int:
@@ -166,9 +219,8 @@ def _tensor(m: int, n: int, rows, vals, lines=None, source="") -> Tensor:
             raise DuplicateIndexTuple(f"index tuple {tup} appears more than once")
         first = int((idx[:k] == idx[k]).all(axis=1).argmax())
         raise DuplicateIndexTuple(f"{at}index tuple {tup} already defined on line {lines[first]}")
-    del out, order, ranked, repeat, bad  # the plan below reuses their memory
+    del out, order, ranked, repeat, bad  # the tensor below reuses their memory
     idx -= 1
-    idx.setflags(write=False)
     vals.setflags(write=False)
     return Tensor(m=int(m), n=int(n), indices=idx, values=vals)
 
@@ -204,15 +256,12 @@ def apply(A: Tensor, x) -> np.ndarray:
     ``(A x^{m-1})_i = sum A_{i i2 ... im} x_{i2} ... x_{im}``.
     """
     x = _check_vector(A, x)
-    if A.nnz == 0:
-        return np.zeros(A.n)
-    plan = A._plan
-    prod = _power_table(x, plan.depth).take(plan.flats[-1])
-    for rest in plan.rests:
-        prod *= x.take(rest[-1])
-    prod *= x.take(plan.last)
-    prod *= A.values
-    return np.bincount(plan.rows, prod, minlength=A.n)
+    out = np.zeros(A.n)
+    if A.nnz:
+        plan = A._plan
+        table = _power_table(x, plan.apply_depth)
+        _scatter(A, x, table, plan.flat, plan.apply_rest, A.indices[:, 0], out)
+    return out
 
 
 def jacobian_T(A: Tensor, x) -> np.ndarray:
@@ -223,14 +272,13 @@ def jacobian_T(A: Tensor, x) -> np.ndarray:
     row i1, column ip.
     """
     x = _check_vector(A, x)
-    if A.nnz == 0:
-        return np.zeros((A.n, A.n))
-    plan = A._plan
-    partial = _power_table(x, plan.depth).take(plan.flats)
-    for rest in plan.rests:
-        partial *= x.take(rest)
-    partial *= A.values
-    return np.bincount(plan.cells, partial.ravel(), minlength=A.n * A.n).reshape(A.n, A.n)
+    out = np.zeros(A.n * A.n)
+    if A.nnz:
+        plan = A._plan
+        table = _power_table(x, plan.jacobian_depth)
+        for cells, flat, rest in zip(plan.cells, plan.flats, plan.jacobian_rests):
+            _scatter(A, x, table, flat, rest, cells, out)
+    return out.reshape(A.n, A.n)
 
 
 def residual(A: Tensor, x, lam: float) -> float:

@@ -75,6 +75,15 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["eigenvalue"] == pytest.approx(0.7923, abs=5e-5)
 
+    def test_lambda0_rejected_for_other_methods(self, capsys, quartic2_path):
+        for method in ("mni", "pni", "mpni"):
+            code, out, err = run_cli(
+                capsys, "solve", "--method", method, "--tensor", str(quartic2_path),
+                "--lambda0", "5", "--no-timestamp",
+            )
+            assert (code, out) == (1, "")
+            assert "--lambda0" in err
+
     def test_solver_failure_exit_code(self, capsys, quartic2_path):
         code, out, _ = run_cli(
             capsys, "solve", "--tensor", str(quartic2_path), "--x0", "0.2,0.8",

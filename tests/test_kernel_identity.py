@@ -86,24 +86,27 @@ def mixed_vector(n: int, seed: int) -> np.ndarray:
 
 
 # Plans the property cannot build (n <= 20, at most 60 entries) or seldom
-# does, each with the table depth and the dtypes of the table indices and
-# of the Jacobian cells it must have.
+# does, each with the table depths of apply and jacobian_T it must have.
+# A depth short of the kernel's factor count (m-1 for apply, m-2 for
+# jacobian_T) leaves columns multiplied in per term; a full depth folds
+# every factor into the table.  The ids name the largest output cell each
+# reaches: past uint8, past uint16, and n = 1.
 PLAN_CASES = [
-    pytest.param(lambda: random_tensor(4, 20, 0.3, 7), 2, np.uint16, np.uint16, id="uint16"),
-    pytest.param(
-        lambda: random_tensor(6, 12, 0.001, 7), 3, np.uint16, np.uint8, id="leftover-columns"
-    ),
-    pytest.param(lambda: random_tensor(2, 300, 0.005, 7), 0, np.uint8, np.intp, id="intp-cells"),
-    pytest.param(lambda: build_tensor(3, 1, [((1, 1, 1), 2.5)]), 1, np.uint8, np.uint8, id="n1"),
+    pytest.param(lambda: random_tensor(4, 20, 0.3, 7), 3, 2, id="uint16"),
+    pytest.param(lambda: random_tensor(6, 12, 0.001, 7), 3, 3, id="leftover-columns"),
+    pytest.param(lambda: random_tensor(2, 300, 0.005, 7), 1, 0, id="intp-cells"),
+    pytest.param(lambda: build_tensor(3, 1, [((1, 1, 1), 2.5)]), 2, 1, id="n1"),
+    pytest.param(lambda: random_tensor(4, 40, 0.002, 7), 2, 2, id="apply-leftover"),
+    pytest.param(lambda: random_tensor(3, 40, 0.0005, 7), 0, 0, id="depth-0-leftover"),
 ]
 
 
-@pytest.mark.parametrize("make, depth, flat_dtype, cell_dtype", PLAN_CASES)
-def test_kernels_match_reference_bits_on_every_plan_kind(make, depth, flat_dtype, cell_dtype):
+@pytest.mark.parametrize("make, apply_depth, jacobian_depth", PLAN_CASES)
+def test_kernels_match_reference_bits_on_every_plan_kind(make, apply_depth, jacobian_depth):
     A = make()
     plan = A._plan
-    assert (plan.depth, plan.flats.dtype, plan.cells.dtype) == (depth, flat_dtype, cell_dtype)
-    assert plan.rests.shape[0] == A.m - 2 - depth
+    assert (plan.apply_depth, plan.jacobian_depth) == (apply_depth, jacobian_depth)
+    assert A.indices.dtype == plan.flat.dtype == plan.cells.dtype == np.int32
     row_major = Tensor(A.m, A.n, np.ascontiguousarray(A.indices), A.values)
     for x in (mixed_vector(A.n, 0), -np.abs(mixed_vector(A.n, 1)) - 0.5):
         for B in (A, row_major):
@@ -111,13 +114,34 @@ def test_kernels_match_reference_bits_on_every_plan_kind(make, depth, flat_dtype
             assert_same_bits(jacobian_T(B, x), reference_jacobian(B, x))
 
 
+def test_int64_plan_when_the_jacobian_cells_pass_int32():
+    n = 46341  # n * n > 2**31 - 1; T(x) itself would take 17 GB, so only apply runs
+    A = build_tensor(2, n, [((n, n), 2.0), ((1, n), 3.0), ((n, 1), 0.5)])
+    assert A.indices.dtype == A._plan.cells.dtype == np.int64
+    x = mixed_vector(n, 2)
+    assert_same_bits(apply(A, x), reference_apply(A, x))
+
+
+def test_every_plan_kind_is_covered():
+    kinds = set()
+    for case in PLAN_CASES:
+        make, apply_depth, jacobian_depth = case.values
+        m = make().m
+        kinds |= {("apply", apply_depth == m - 1), ("jacobian_T", jacobian_depth == m - 2)}
+    assert kinds == {(k, folded) for k in ("apply", "jacobian_T") for folded in (True, False)}
+
+
 def test_plan_is_compact_and_read_only_on_family_shapes():
-    # family-sized tensors are many and small: an intp plan would cost
-    # eight bytes per index where one is enough
+    # family-sized tensors are many and small: the plan holds int32 cells
+    # and table indices per block, one block for apply (whose cells are the
+    # tensor's own first index column) and m-1 for jacobian_T, so at most
+    # 8*m bytes per stored entry
     for m in range(2, 6):
         for n in range(1, 7):
             for density in (0.05, 0.3, 1.0):
                 A = random_tensor(m, n, density, m * n)
-                for part in A._plan[1:]:  # every field after the depth
-                    assert part.itemsize == 1, (m, n, density, part.dtype)
+                plan = [part for part in A._plan if isinstance(part, np.ndarray)]
+                assert sum(part.nbytes for part in plan) <= 8 * m * A.nnz, (m, n, density)
+                for part in plan + [A.indices]:
+                    assert part.dtype == np.int32, (m, n, density, part.dtype)
                     assert not part.flags.writeable

@@ -413,6 +413,14 @@ class TestDispatcher:
             assert report.method == method
             assert report.converged
 
+    def test_lam0_rejected_for_other_methods(self, quartic2):
+        # MNI, PNI and MPNI choose their own shifts, so a lam0 would be ignored
+        for method in ("mni", "pni", "mpni"):
+            with pytest.raises(ValueError, match="lam0 is used only by method 'newton'"):
+                solve(quartic2, [0.2, 0.8], SolverConfig(method=method), lam0=5.0)
+        with pytest.raises(ValueError, match="not 'mpni'"):
+            solve(quartic2, [0.2, 0.8], lam0=5.0)  # the default method
+
     def test_determinism(self, quartic2):
         a = solve(quartic2, [0.3, 0.7])
         b = solve(quartic2, [0.3, 0.7])

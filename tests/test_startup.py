@@ -1,7 +1,8 @@
-"""The start-up path: ``zeigen`` loads scipy's LAPACK extension without the
-``scipy.linalg`` package init, and that extension is the very one
-``scipy.linalg.lapack`` re-exports."""
+"""The start-up path: ``zeigen`` loads scipy's LAPACK extension and its
+sparse-tools extension without the ``scipy.linalg`` and ``scipy.sparse``
+package inits, and those extensions are the very ones the packages use."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -13,6 +14,10 @@ from zeigen import linalg
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# (package, extension, the module the loader falls back to)
+EXTENSIONS = [("linalg", "_flapack", "scipy.linalg.lapack"),
+              ("sparse", "_sparsetools", "scipy.sparse._sparsetools")]
+
 
 def test_cli_import_skips_scipy_linalg():
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -21,7 +26,9 @@ def test_cli_import_skips_scipy_linalg():
                           capture_output=True, text=True, check=True)
     loaded = proc.stdout.split()
     assert "scipy.linalg._flapack" in loaded
+    assert "scipy.sparse._sparsetools" in loaded
     assert "scipy.linalg" not in loaded
+    assert "scipy.sparse" not in loaded
 
 
 def test_routines_are_scipy_linalg_lapack_objects():
@@ -29,6 +36,12 @@ def test_routines_are_scipy_linalg_lapack_objects():
 
     for name in ("dgetrf", "dgecon", "dgetrs"):
         assert getattr(linalg.lapack, name) is getattr(scipy.linalg.lapack, name)
+
+
+def test_coo_matvec_is_the_scipy_sparsetools_object():
+    import scipy.sparse  # noqa: F401  (the package init imports its _sparsetools)
+
+    assert linalg.coo_matvec is importlib.import_module("scipy.sparse._sparsetools").coo_matvec
 
 
 def _raise_import_error(*args):
@@ -39,8 +52,8 @@ def _raise_import_error(*args):
                                          ("ExtensionFileLoader", _raise_import_error)],
                          ids=["no_file", "load_fails"])
 def test_fallback_is_public_lapack(monkeypatch, name, value):
-    import scipy.linalg.lapack
-
-    monkeypatch.delitem(sys.modules, linalg._FLAPACK)
     monkeypatch.setattr(linalg, name, value)
-    assert linalg._load_lapack() is scipy.linalg.lapack
+    for package, extension, fallback in EXTENSIONS:
+        monkeypatch.delitem(sys.modules, f"scipy.{package}.{extension}")
+        module = linalg._load_extension(package, extension, fallback)
+        assert module is importlib.import_module(fallback)

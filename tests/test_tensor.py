@@ -12,6 +12,7 @@ from zeigen import (
     IndexOutOfRange,
     NegativeEntry,
     NegativeInput,
+    Tensor,
     ZeroVector,
     apply,
     build_tensor,
@@ -101,10 +102,52 @@ class TestBuildTensor:
             parse_tensor_text(f"2 2\n1 {2**70} 1.0\n")
 
 
+class TestTensorConstructor:
+    """``Tensor(...)`` itself checks the arrays: the compiled kernel loop
+    indexes its output with them and checks no bounds."""
+
+    def test_index_past_n_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            Tensor(2, 2, np.array([[0, 5]]), np.array([1.0]))
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(IndexOutOfRange):
+            Tensor(2, 2, np.array([[0, 1], [-1, 0]]), np.array([1.0, 2.0]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Tensor(2, 2, np.array([[0, 1], [1, 0]]), np.array([1.0]))
+        with pytest.raises(DimensionMismatch):  # a tuple of m + 1 indices
+            Tensor(2, 2, np.array([[0, 1, 1]]), np.array([1.0]))
+        with pytest.raises(DimensionMismatch):
+            Tensor(2, 2, np.array([[0, 1]]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_value_rejected(self, value):
+        with pytest.raises(NegativeEntry):
+            Tensor(2, 2, np.array([[0, 1]]), np.array([value]))
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(TypeError):
+            Tensor(2, 2, np.array([[0.0, 1.0]]), np.array([1.0]))
+
+    def test_other_integer_and_value_types_give_the_same_kernels(self):
+        A = build_tensor(3, 4, [((1, 2, 3), 2.0), ((4, 4, 1), 3.0), ((2, 1, 1), 5.0)])
+        B = Tensor(3, 4, A.indices.astype(np.uint8), [2, 3, 5])
+        assert B.indices.dtype == np.int32 and B.values.dtype == float
+        x = np.array([0.1, 0.2, 0.3, 0.4])
+        assert apply(B, x).tobytes() == apply(A, x).tobytes()
+        assert jacobian_T(B, x).tobytes() == jacobian_T(A, x).tobytes()
+
+
 class TestApply:
     def test_known_values(self, quartic2):
         # hand evaluation of 1.1 x1^3 + 0.25 x1^2 x2 + 0.25 x2^3 and 1.2 x2^3
         assert_allclose(apply(quartic2, [0.19, 0.81]), [0.1477154, 0.6377292], atol=1e-12)
+        # each product is rounded before it is added: a fused multiply-add
+        # would give 2**-26 + 2**-54, the exact value of -1 + (1 + 2**-27)**2
+        A = build_tensor(2, 2, [((1, 1), 1.0), ((1, 2), 1 + 2**-27)])
+        assert apply(A, [-1.0, 1 + 2**-27]).tolist() == [2**-26, 0.0]
 
     def test_unit_vector(self, quartic2):
         assert_allclose(apply(quartic2, [1.0, 0.0]), [1.1, 0.0], atol=0)
