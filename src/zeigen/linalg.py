@@ -6,7 +6,7 @@ here are small (the solvers target n up to a few dozen), so dense
 factorizations are the simplest correct choice.
 
 ``dgetrf``, ``dgecon`` and ``dgetrs`` come from scipy's LAPACK extension
-``scipy/linalg/_flapack*``, and the tensor kernels' ``coo_matvec`` from
+``scipy/linalg/_flapack*``, and the Jacobian kernel's ``coo_matvec`` from
 ``scipy/sparse/_sparsetools*``.  Both are loaded from their files: the
 ``scipy.linalg`` and ``scipy.sparse`` package inits are most of a
 ``zeigen`` process's time.  They are the binaries those packages use, so

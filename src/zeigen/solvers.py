@@ -18,6 +18,10 @@ step rule that forms the next ``(x, lam)``:
   zero.
 
 MNI and PNI also move a near-singular shift before the iterate is traced.
+
+Each iterate costs one Jacobian ``T(x)``: the residual and the ratio
+interval take the contraction from it by Euler's identity, ``A x^{m-1} =
+T(x) x / (m-1)``, and the next step's shifted or bordered system reuses it.
 """
 
 from __future__ import annotations
@@ -274,9 +278,13 @@ def _residual(ax: np.ndarray | None, x: np.ndarray, lam: float) -> float:
     return float(np.linalg.norm(ax - lam * x, 1))
 
 
-def _contract(A: Tensor, x: np.ndarray) -> np.ndarray | None:
-    """``A x^{m-1}``, or None for a non-finite ``x``."""
-    return apply(A, x) if np.all(np.isfinite(x)) else None
+def _contract(A: Tensor, x: np.ndarray) -> tuple:
+    """``(A x^{m-1}, T(x))`` from one Jacobian, the contraction by Euler's
+    identity ``T(x) x / (m-1)``; ``(None, None)`` for a non-finite ``x``."""
+    if not np.all(np.isfinite(x)):
+        return None, None
+    T = jacobian_T(A, x)
+    return T @ x / (A.m - 1), T
 
 
 class _Stop(Exception):
@@ -288,13 +296,14 @@ class _Stop(Exception):
         self.status, self.reason = status, reason
 
 
-def _iterate(method, cfg, x, lam, ax, fields, step, check=None) -> SolveReport:
-    """Run one scheme from ``(x, lam)`` with ``ax = A x^{m-1}``.
+def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport:
+    """Run one scheme from ``(x, lam)`` with ``pair = (A x^{m-1}, T(x))``
+    (see :func:`_contract`).
 
     ``fields`` are the :class:`StepRecord` fields besides ``k, x, lam,
-    residual`` of the current iterate.  ``step(k, x, lam, ax, fields)``
-    returns the next ``(x, lam, ax, fields)`` or raises :class:`_Stop`.
-    ``check(k, x, lam, fields)``, when given, runs before an unconverged
+    residual`` of the current iterate.  ``step(k, x, lam, pair, fields)``
+    returns the next ``(x, lam, pair, fields)`` or raises :class:`_Stop`.
+    ``check(k, x, lam, T, fields)``, when given, runs before an unconverged
     finite iterate is recorded; it returns ``(lam, flag)``, where a flag
     means the shift moved, or raises :class:`_Stop` (the iterate is still
     recorded).  The final iterate of the report is the last one formed.
@@ -302,11 +311,12 @@ def _iterate(method, cfg, x, lam, ax, fields, step, check=None) -> SolveReport:
     trace = IterationTrace()
     status, reason = "max_iter", None
     for k in range(cfg.max_iter + 1):
+        ax, T = pair
         res = _residual(ax, x, lam)
         stop = None
         if check is not None and math.isfinite(res) and res >= cfg.tol:
             try:
-                lam, flag = check(k, x, lam, fields)
+                lam, flag = check(k, x, lam, T, fields)
             except _Stop as exc:
                 stop = exc
             else:
@@ -325,7 +335,7 @@ def _iterate(method, cfg, x, lam, ax, fields, step, check=None) -> SolveReport:
             status, reason = "diverged", f"residual {res:.3e} exceeded divergence bound"
         elif k < cfg.max_iter:
             try:
-                x, lam, ax, fields = step(k, x, lam, ax, fields)
+                x, lam, pair, fields = step(k, x, lam, pair, fields)
             except _Stop as exc:
                 status, reason = exc.status, exc.reason
             else:
@@ -345,12 +355,13 @@ def run_newton(
     With a ``lam0``, ``x0`` need only be finite.  Either way ``x0`` sums to 1.
     """
     x = _check_start(A, x0, cone="closed" if lam0 is None else "any")
-    ax = apply(A, x)
-    lam = ratio_bounds(ax, x)[1] if lam0 is None else float(lam0)
+    pair = _contract(A, x)
+    lam = ratio_bounds(pair[0], x)[1] if lam0 is None else float(lam0)
 
-    def step(k, x, lam, ax, fields):
+    def step(k, x, lam, pair, fields):
+        ax, T = pair
         try:
-            x, lam = newton_step_bordered(A, x, lam, ax=ax)
+            x, lam = newton_step_bordered(A, x, lam, T=T, ax=ax)
         except SingularBordered as exc:
             raise _Stop(
                 "perturbation_exhausted",
@@ -358,7 +369,7 @@ def run_newton(
             ) from None
         return x, lam, _contract(A, x), {"lam_hat": lam}
 
-    return _iterate("newton", config or SolverConfig(method="newton"), x, lam, ax, {}, step)
+    return _iterate("newton", config or SolverConfig(method="newton"), x, lam, pair, {}, step)
 
 
 def _shifted_or_none(lam, T, x):
@@ -390,34 +401,33 @@ def _shift_iterate(method, A, x0, cfg, rescue, update) -> SolveReport:
     its solve and a flag, or raises :class:`_Stop`.  Each step is
     ``update(k, x, lam, w)``."""
     x = _check_start(A, x0, cone="open")
-    ax = apply(A, x)
-    lam_low, lam_high = ratio_bounds(ax, x)
+    pair = _contract(A, x)
+    lam_low, lam_high = ratio_bounds(pair[0], x)
     w_hat = None
 
-    def check(k, x, lam, fields):
+    def check(k, x, lam, T, fields):
         nonlocal w_hat
-        T = jacobian_T(A, x)
         w_hat = _shifted_or_none(lam, T, x)
         if w_hat is not None:
             return lam, None
         lam, w_hat, flag = rescue(k, lam, fields, T, x)
         return lam, flag
 
-    def step(k, x, lam, ax, fields):
+    def step(k, x, lam, pair, fields):
         return update(k, x, lam, w_hat)
 
     fields = {"lam_hat": None, "lam_low": lam_low, "lam_high": lam_high, "flags": ()}
-    return _iterate(method, cfg, x, lam_high, ax, fields, step, check)
+    return _iterate(method, cfg, x, lam_high, pair, fields, step, check)
 
 
 def _next_interval(A: Tensor, x: np.ndarray, **fields):
-    """The contraction and record fields of a new MNI/PNI iterate, with its
-    ratio interval."""
-    if not np.all(np.isfinite(x)):
+    """The contraction pair (see :func:`_contract`) and record fields of a
+    new MNI/PNI iterate, with its ratio interval."""
+    pair = _contract(A, x)
+    if pair[0] is None:
         raise _Stop("diverged", "non-finite iterate")
-    ax = apply(A, x)
-    lam_low, lam_high = ratio_bounds(ax, x)
-    return ax, {"lam_low": lam_low, "lam_high": lam_high, **fields}
+    lam_low, lam_high = ratio_bounds(pair[0], x)
+    return pair, {"lam_low": lam_low, "lam_high": lam_high, **fields}
 
 
 def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
@@ -452,9 +462,9 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
             flags += ("zero_denominator_branch",)
         else:
             lam_hat = (lam - 1.0 / e_w) / (A.m - 1)
-        ax, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
+        pair, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
         lam = mni_select_lambda(lam_hat, fields["lam_low"], fields["lam_high"])
-        return x, lam, ax, fields
+        return x, lam, pair, fields
 
     return _shift_iterate("mni", A, x0, config or SolverConfig(method="mni"), rescue, update)
 
@@ -504,12 +514,12 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
         flags = ("projection_changed",) if np.any(clamped != x_tilde) else ()
         x = clamped / np.linalg.norm(clamped, 1)
         lam_hat = (lam - 1.0 / e_w) / (A.m - 1)
-        ax, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
+        pair, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
         beta = cfg.beta_at(k)
         if beta > 0:
             beta_steps.append(k)
         lam = pni_select_lambda(lam_hat, fields["lam_low"], fields["lam_high"], beta)
-        return x, lam, ax, fields
+        return x, lam, pair, fields
 
     report = _shift_iterate("pni", A, x0, cfg, rescue, update)
     if beta_steps:
@@ -527,11 +537,11 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     simplex, and clamps each candidate shift at zero.
     """
     x = _check_start(A, x0, cone="closed")
-    ax = apply(A, x)
-    lam_low, lam_high = ratio_bounds(ax, x)
+    pair = _contract(A, x)
+    lam_low, lam_high = ratio_bounds(pair[0], x)
 
-    def step(k, x, lam, ax, fields):
-        T = jacobian_T(A, x)
+    def step(k, x, lam, pair, fields):
+        ax, T = pair
         try:
             lam_use, diag = ensure_bordered_nonsingular(lam, T, x)
         except PerturbationExhausted as exc:
@@ -549,7 +559,7 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
 
     cfg = config or SolverConfig(method="mpni")
     fields = {"lam_low": lam_low, "lam_high": lam_high}
-    return _iterate("mpni", cfg, x, lam_high, ax, fields, step)
+    return _iterate("mpni", cfg, x, lam_high, pair, fields, step)
 
 
 def solve(

@@ -1,28 +1,28 @@
 """Nonnegative tensors in coordinate form and their multilinear kernels.
 
 A tensor of order ``m`` and dimension ``n`` is given as ``(index tuple,
-value)`` pairs with 1-based indices; unlisted entries are zero.  Each
-:class:`Tensor` builds a read-only index plan once.  ``apply`` and
-``jacobian_T`` take the products of ``x`` they need from the flat
-``d``-fold outer power ``x ⊗ ... ⊗ x``, ``d`` the largest depth with
-``n^d <= nnz`` (so the table is never larger than the tensor) and at most
-the number of factors: ``m-1`` for ``apply``, ``m-2`` for ``jacobian_T``.
-The kernels run in blocks: one for ``apply``, whose output cell is
-``i1`` (the first index column itself), and one per variable position
-``p = 2..m`` for ``jacobian_T``, whose output cells ``i1 * n + ip`` of
-``T(x)`` the plan holds.  The plan also holds each block's table index of
-every entry.  Index arrays are int32 unless ``n^2`` or ``nnz`` needs
-int64.  Each block is one call of scipy's compiled loop ``coo_matvec``,
-which does ``y[cell[k]] += values[k] * table[index[k]]`` for ``k`` in
-input order.  Factors the depth does not cover are multiplied into the
-taken table entries per term, and that product array is then the table,
-indexed by ``k`` itself.
+value)`` pairs with 1-based indices; unlisted entries are zero, and
+repeated tuples are summed (scipy's COO convention).
 
-The bits are those of one gather per position, products left to right
-and ``np.add.at`` position after position.  A table entry is the same
-products in the same order; ``values[k] * p`` is ``p * values[k]``; and
-each output cell starts at ``+0.0`` and adds its terms in input order,
-position after position, as successive ``np.add.at`` calls do.
+``apply`` is the plain contraction, independent of the Jacobian: one
+gather of ``x`` per variable position, products left to right, times the
+values, then ``np.add.at`` into the first index.  The solvers take the
+contraction from ``T(x) x / (m-1)`` instead.
+
+Only ``jacobian_T`` has an index plan, built once per :class:`Tensor` and
+read-only.  It takes the products of ``x`` from the flat ``d``-fold outer
+power ``x ⊗ ... ⊗ x``, ``d <= m-2`` the largest depth with ``n^d <= nnz``
+(so the table is never larger than the tensor), in one block per variable
+position ``p = 2..m``: the plan holds each entry's output cell ``i1 * n +
+ip`` and table index, int32 unless ``n^2`` or ``nnz`` needs int64.  A
+block is one call of scipy's compiled loop ``coo_matvec``, ``y[cell[k]] +=
+values[k] * table[index[k]]`` for ``k`` in input order.  Factors the depth
+leaves out are multiplied into the taken table entries per term, and that
+array, indexed by ``k``, is then the table.  The bits are those of one
+gather per position, products left to right and ``np.add.at`` position
+after position: a table entry is the same products in the same order,
+``values[k] * p`` is ``p * values[k]``, and each output cell adds its terms
+in input order from ``+0.0``.
 """
 
 from __future__ import annotations
@@ -55,52 +55,35 @@ _ONE.setflags(write=False)
 
 
 class _Plan(NamedTuple):
-    """Read-only index arrays of one tensor for its kernels."""
+    """Read-only index arrays of one tensor for ``jacobian_T``."""
 
-    apply_depth: int  # apply's table is the apply_depth-fold outer power of x
-    jacobian_depth: int  # likewise for jacobian_T
-    flat: np.ndarray  # (nnz,): apply's table index, of i2, ... (the first apply_depth)
+    depth: int  # the table is the depth-fold outer power of x
     cells: np.ndarray  # (m-1, nnz): i1 * n + ip, for p = 2..m in turn
-    flats: np.ndarray  # (m-1, nnz): jacobian_T's table index, of the others of p
-    apply_rest: tuple  # the positions apply's table leaves out
-    jacobian_rests: tuple  # per p, the positions jacobian_T's table leaves out
-
-
-def _depth(n: int, nnz: int, factors: int) -> int:
-    """The largest ``d <= factors`` with ``n^d <= nnz``."""
-    depth = 0
-    while depth < factors and n ** (depth + 1) <= nnz:
-        depth += 1
-    return depth
+    flats: np.ndarray  # (m-1, nnz): the table index, of the others of p
+    rests: tuple  # per p, the positions the table leaves out
 
 
 def _build_plan(m: int, n: int, indices: np.ndarray) -> _Plan:
     """The plan of checked ``indices`` of the kernels' index type."""
     nnz, dtype = len(indices), indices.dtype
-    apply_depth = _depth(n, nnz, m - 1)
-    jacobian_depth = _depth(n, nnz, m - 2)
-
-    def flat_of(positions):
-        flat = 0
-        for q in positions:
-            flat = flat * n + indices[:, q]
-        return flat
-
+    depth = 0  # the largest d <= m-2 with n^d <= nnz
+    while depth < m - 2 and n ** (depth + 1) <= nnz:
+        depth += 1
     # filled one block at a time, so no (m-1, nnz) temporary exists
-    flat = np.empty(nnz, dtype=dtype)
-    flat[:] = flat_of(range(1, 1 + apply_depth))
     cells = np.empty((m - 1, nnz), dtype=dtype)
     flats = np.empty((m - 1, nnz), dtype=dtype)
     rests = []
     for row, p in enumerate(range(1, m)):
         others = [q for q in range(1, m) if q != p]
-        flats[row] = flat_of(others[:jacobian_depth])
+        flat = 0
+        for q in others[:depth]:
+            flat = flat * n + indices[:, q]
+        flats[row] = flat
         cells[row] = indices[:, 0] * n + indices[:, p]
-        rests.append(tuple(others[jacobian_depth:]))
-    for part in (flat, cells, flats):
+        rests.append(tuple(others[depth:]))
+    for part in (cells, flats):
         part.setflags(write=False)
-    apply_rest = tuple(range(1 + apply_depth, m))
-    return _Plan(apply_depth, jacobian_depth, flat, cells, flats, apply_rest, tuple(rests))
+    return _Plan(depth, cells, flats, tuple(rests))
 
 
 def _power_table(x: np.ndarray, depth: int) -> np.ndarray:
@@ -111,19 +94,7 @@ def _power_table(x: np.ndarray, depth: int) -> np.ndarray:
     return table
 
 
-def _scatter(A: Tensor, x, table, index, rest, cells, out) -> None:
-    """``out[cells[k]] += values[k] * table[index[k]]`` for every entry
-    ``k``, the table entry first multiplied by ``x`` at the positions
-    ``rest`` of entry ``k``, left to right."""
-    if rest:  # one product per term, then indexed by the term itself
-        table = table.take(index)
-        for q in rest:
-            table *= x.take(A.indices[:, q])
-        index = np.arange(A.nnz, dtype=index.dtype)
-    coo_matvec(A.nnz, cells, index, A.values, table, out)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor:
     """Immutable nonnegative tensor of order ``m`` and dimension ``n``.
 
@@ -132,9 +103,11 @@ class Tensor:
     kernels' index type (int32 unless ``n^2`` or ``nnz`` needs int64).
     ``values`` has shape (nnz,), finite and nonnegative, and is kept as a
     float array.  The constructor checks these, since the compiled kernel
-    loop checks no bounds; it does not look for repeated index tuples,
-    which :func:`build_tensor` rejects.  The kernels' index plan (see the
-    module docstring) is derived once, at construction, and is read-only.
+    loop checks no bounds.  It does not look for repeated index tuples:
+    the kernels sum them, as scipy's COO format does, and
+    :func:`build_tensor` is the entry point that rejects them.  The
+    Jacobian's index plan (see the module docstring) is derived once, at
+    construction, and is read-only.  ``==`` and ``hash()`` go by identity.
     Instances are safe to share across concurrent solves.
     """
 
@@ -142,7 +115,7 @@ class Tensor:
     n: int
     indices: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    _plan: _Plan = field(init=False, repr=False, compare=False)
+    _plan: _Plan = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "m", int(self.m))  # Python ints: n * n must not wrap
@@ -254,13 +227,17 @@ def _check_vector(A: Tensor, x) -> np.ndarray:
 def apply(A: Tensor, x) -> np.ndarray:
     """Contract the tensor with ``m - 1`` copies of ``x``:
     ``(A x^{m-1})_i = sum A_{i i2 ... im} x_{i2} ... x_{im}``.
+
+    The plain form, independent of ``jacobian_T``: the products of ``x``
+    left to right, then the value, summed in input order.
     """
     x = _check_vector(A, x)
+    terms = x.take(A.indices[:, 1])
+    for q in range(2, A.m):
+        terms *= x.take(A.indices[:, q])
+    terms *= A.values
     out = np.zeros(A.n)
-    if A.nnz:
-        plan = A._plan
-        table = _power_table(x, plan.apply_depth)
-        _scatter(A, x, table, plan.flat, plan.apply_rest, A.indices[:, 0], out)
+    np.add.at(out, A.indices[:, 0], terms)
     return out
 
 
@@ -275,9 +252,16 @@ def jacobian_T(A: Tensor, x) -> np.ndarray:
     out = np.zeros(A.n * A.n)
     if A.nnz:
         plan = A._plan
-        table = _power_table(x, plan.jacobian_depth)
-        for cells, flat, rest in zip(plan.cells, plan.flats, plan.jacobian_rests):
-            _scatter(A, x, table, flat, rest, cells, out)
+        power = _power_table(x, plan.depth)
+        for cells, index, rest in zip(plan.cells, plan.flats, plan.rests):
+            table = power
+            if rest:  # one product per term, then indexed by the term itself
+                table = power.take(index)
+                for q in rest:
+                    table *= x.take(A.indices[:, q])
+                index = np.arange(A.nnz, dtype=index.dtype)
+            # out[cells[k]] += values[k] * table[index[k]], k in input order
+            coo_matvec(A.nnz, cells, index, A.values, table, out)
     return out.reshape(A.n, A.n)
 
 

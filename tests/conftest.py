@@ -18,7 +18,8 @@ from hypothesis import settings
 from zeigen import build_tensor
 
 # Hypothesis tests that set no max_examples of their own (the kernel and
-# tensor-build bit-identity properties and the solver contract) run 300
+# tensor-build bit-identity properties, the Euler identity and the solver
+# contract) run 300
 # examples in tier-1; CI runs those properties once more with
 # --hypothesis-profile kernel-identity-ci.
 settings.register_profile("tier1", max_examples=300)

@@ -13,13 +13,17 @@ Per solve the file keeps the status, the iteration count, the failure
 reason, the notes, the flags of each trace record that has any, the final lambda and
 residual at 17 significant digits, and a sha256 over every trace field
 (the bytes of ``x`` and the exact hex of each float).  Comparison is
-exact.  After a deliberate behaviour change, rewrite the file with
-``PYTHONPATH=src python tests/test_golden_reports.py`` and explain the
-diff.
+exact.  After a deliberate behaviour change, first classify the
+difference with ``PYTHONPATH=src python tests/test_golden_reports.py
+--diff`` (it writes nothing), then rewrite the file with
+``PYTHONPATH=src python tests/test_golden_reports.py`` and quote the table.
 """
 
 import hashlib
 import json
+import math
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -141,6 +145,76 @@ def test_golden_family_keeps_its_coverage():
     assert {label.split("/")[2] for label in expected} == {str(v) for v in MAX_ITERS}
 
 
+# Kinds of difference, gravest first; a solve counts under the first that
+# applies.  "status" includes the wording of the failure reason (its
+# numbers aside).  "lam" is a final lambda off by more than LAM_RTOL
+# relative to max(1, |lam|): a converged lambda is pinned down only to
+# about tol, so near 0 the test is absolute.  "last_bits" is every other
+# difference: the final lambda within that bound, the residual, the trace
+# digest or the reason's numbers.
+KINDS = ("status", "iterations", "lam", "flags", "last_bits", "identical")
+LAM_RTOL = 1e-10
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|[-+]?\b(?:nan|inf)\b")
+
+
+def _lam_close(old: str, new: str) -> bool:
+    a, b = float(old), float(new)
+    return a == b or (math.isnan(a) and math.isnan(b)) or \
+        abs(a - b) <= LAM_RTOL * max(1.0, abs(a), abs(b))
+
+
+def _kind(old: list, new: list) -> str:
+    """The gravest kind of difference between two summaries."""
+    old, new = dict(zip(FIELDS, old)), dict(zip(FIELDS, new))
+    words = [_NUMBER.sub("#", entry["failure_reason"] or "") for entry in (old, new)]
+    if old["status"] != new["status"] or words[0] != words[1]:
+        return "status"
+    if old["iterations"] != new["iterations"]:
+        return "iterations"
+    if not _lam_close(old["lam"], new["lam"]):
+        return "lam"
+    if old["flags"] != new["flags"]:
+        return "flags"
+    return "identical" if old == new else "last_bits"
+
+
+def _print_diff(expected: dict, actual: dict) -> None:
+    """A count per kind of difference, then every solve of the first four
+    kinds, in family order, with the fields that differ."""
+    assert list(actual) == list(expected)
+    kinds = {kind: [] for kind in KINDS}
+    for label, entry in expected.items():
+        kinds[_kind(entry, actual[label])].append(label)
+    for kind in KINDS:
+        print(f"{kind:10} {len(kinds[kind]):5d}")
+    for kind in KINDS[:4]:
+        for label in kinds[kind]:
+            old, new = (dict(zip(FIELDS, e)) for e in (expected[label], actual[label]))
+            print(f"{label} {kind} ({old['status']}, {old['iterations']} iterations):",
+                  *(f"{name} {old[name]} -> {new[name]}" for name in FIELDS[:-1]
+                    if old[name] != new[name]), sep="\n  ")
+
+
+def test_diff_ranks_the_gravest_kind_first():
+    base = ["perturbation_exhausted", 3, "no shift in [0.5, 1.5]", [], [], "1.5", "1e-3", "aa"]
+
+    def kind(**changes):
+        return _kind(base, [changes.get(name, value) for name, value in zip(FIELDS, base)])
+
+    assert kind() == "identical"
+    assert kind(residual="2e-3", trace_sha256="bb") == "last_bits"
+    assert kind(lam="1.5000000000000002", failure_reason="no shift in [0.5, 1.6]") == "last_bits"
+    assert kind(lam="1.5000001") == "lam"
+    assert kind(flags=["1:projection_changed"], lam="1.5000000000000002") == "flags"
+    assert kind(iterations=4, lam="2", flags=["1:lambda_adjusted"]) == "iterations"
+    assert kind(failure_reason="e^T w = 0") == "status"
+    assert kind(failure_reason="no shift in [-inf, nan]") == "last_bits"
+    assert kind(status="max_iter", failure_reason=None) == "status"
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(_dump(_reports()), encoding="utf-8")
-    print(f"wrote {GOLDEN}")
+    if sys.argv[1:] == ["--diff"]:
+        _print_diff(_load(), _reports())
+    else:
+        GOLDEN.write_text(_dump(_reports()), encoding="utf-8")
+        print(f"wrote {GOLDEN}")

@@ -3,8 +3,9 @@ formulation: one 2-D gather of ``x``, ``np.prod`` along each row, then
 ``np.add.at`` over the 2-D (row, column) index.
 
 That formulation is kept here as the reference.  Equality is on the raw
-bytes, not within a tolerance: every solver trace depends on these
-kernels, so a last-bit change would change traces.  The property runs at
+bytes, not within a tolerance: every solver trace depends on
+``jacobian_T``, so a last-bit change would change traces, and ``apply`` is
+the contraction, independent of it, that the checks use.  The property runs at
 the ``max_examples`` of the loaded hypothesis profile (``tests/conftest.py``).
 """
 
@@ -86,27 +87,28 @@ def mixed_vector(n: int, seed: int) -> np.ndarray:
 
 
 # Plans the property cannot build (n <= 20, at most 60 entries) or seldom
-# does, each with the table depths of apply and jacobian_T it must have.
-# A depth short of the kernel's factor count (m-1 for apply, m-2 for
-# jacobian_T) leaves columns multiplied in per term; a full depth folds
+# does, each with the table depth of jacobian_T it must have.  A depth
+# short of m-2 leaves columns multiplied in per term; a full depth folds
 # every factor into the table.  The ids name the largest output cell each
-# reaches: past uint8, past uint16, and n = 1.
+# reaches: past uint8, past uint16, and n = 1; sweep-sparse-shape is the
+# shape of the sparse benchmark sweep.  apply has no plan, but runs on
+# every case too.
 PLAN_CASES = [
-    pytest.param(lambda: random_tensor(4, 20, 0.3, 7), 3, 2, id="uint16"),
-    pytest.param(lambda: random_tensor(6, 12, 0.001, 7), 3, 3, id="leftover-columns"),
-    pytest.param(lambda: random_tensor(2, 300, 0.005, 7), 1, 0, id="intp-cells"),
-    pytest.param(lambda: build_tensor(3, 1, [((1, 1, 1), 2.5)]), 2, 1, id="n1"),
-    pytest.param(lambda: random_tensor(4, 40, 0.002, 7), 2, 2, id="apply-leftover"),
-    pytest.param(lambda: random_tensor(3, 40, 0.0005, 7), 0, 0, id="depth-0-leftover"),
+    pytest.param(lambda: random_tensor(4, 20, 0.3, 7), 2, id="uint16"),
+    pytest.param(lambda: random_tensor(6, 12, 0.001, 7), 3, id="leftover-columns"),
+    pytest.param(lambda: random_tensor(2, 300, 0.005, 7), 0, id="intp-cells"),
+    pytest.param(lambda: build_tensor(3, 1, [((1, 1, 1), 2.5)]), 1, id="n1"),
+    pytest.param(lambda: random_tensor(4, 40, 0.002, 7), 2, id="sweep-sparse-shape"),
+    pytest.param(lambda: random_tensor(3, 40, 0.0005, 7), 0, id="depth-0-leftover"),
 ]
 
 
-@pytest.mark.parametrize("make, apply_depth, jacobian_depth", PLAN_CASES)
-def test_kernels_match_reference_bits_on_every_plan_kind(make, apply_depth, jacobian_depth):
+@pytest.mark.parametrize("make, depth", PLAN_CASES)
+def test_kernels_match_reference_bits_on_every_plan_kind(make, depth):
     A = make()
     plan = A._plan
-    assert (plan.apply_depth, plan.jacobian_depth) == (apply_depth, jacobian_depth)
-    assert A.indices.dtype == plan.flat.dtype == plan.cells.dtype == np.int32
+    assert plan.depth == depth
+    assert A.indices.dtype == plan.flats.dtype == plan.cells.dtype == np.int32
     row_major = Tensor(A.m, A.n, np.ascontiguousarray(A.indices), A.values)
     for x in (mixed_vector(A.n, 0), -np.abs(mixed_vector(A.n, 1)) - 0.5):
         for B in (A, row_major):
@@ -123,25 +125,20 @@ def test_int64_plan_when_the_jacobian_cells_pass_int32():
 
 
 def test_every_plan_kind_is_covered():
-    kinds = set()
-    for case in PLAN_CASES:
-        make, apply_depth, jacobian_depth = case.values
-        m = make().m
-        kinds |= {("apply", apply_depth == m - 1), ("jacobian_T", jacobian_depth == m - 2)}
-    assert kinds == {(k, folded) for k in ("apply", "jacobian_T") for folded in (True, False)}
+    cases = [case.values for case in PLAN_CASES]
+    assert {depth == make().m - 2 for make, depth in cases} == {True, False}
 
 
 def test_plan_is_compact_and_read_only_on_family_shapes():
     # family-sized tensors are many and small: the plan holds int32 cells
-    # and table indices per block, one block for apply (whose cells are the
-    # tensor's own first index column) and m-1 for jacobian_T, so at most
-    # 8*m bytes per stored entry
+    # and table indices per block, m-1 blocks for jacobian_T, so at most
+    # 8*(m-1) bytes per stored entry
     for m in range(2, 6):
         for n in range(1, 7):
             for density in (0.05, 0.3, 1.0):
                 A = random_tensor(m, n, density, m * n)
                 plan = [part for part in A._plan if isinstance(part, np.ndarray)]
-                assert sum(part.nbytes for part in plan) <= 8 * m * A.nnz, (m, n, density)
+                assert sum(part.nbytes for part in plan) <= 8 * (m - 1) * A.nnz, (m, n, density)
                 for part in plan + [A.indices]:
                     assert part.dtype == np.int32, (m, n, density, part.dtype)
                     assert not part.flags.writeable

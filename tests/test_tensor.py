@@ -131,6 +131,20 @@ class TestTensorConstructor:
         with pytest.raises(TypeError):
             Tensor(2, 2, np.array([[0.0, 1.0]]), np.array([1.0]))
 
+    def test_equality_and_hash_go_by_identity(self):
+        entries = [((1, 1), 1.0), ((2, 1), 2.0)]
+        A, B = build_tensor(2, 2, entries), build_tensor(2, 2, entries)
+        assert A == A and A != B
+        assert len({A, B, A}) == 2
+
+    def test_repeated_index_tuples_are_summed(self):
+        # the COO convention; build_tensor is the entry point that rejects them
+        A = Tensor(3, 2, np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]), np.array([1.0, 4.0, 2.0]))
+        B = Tensor(3, 2, np.array([[0, 1, 0], [1, 1, 1]]), np.array([3.0, 4.0]))
+        x = np.array([0.5, -0.25])
+        assert apply(A, x).tolist() == apply(B, x).tolist() == [-0.375, 0.25]
+        assert jacobian_T(A, x).tolist() == jacobian_T(B, x).tolist()
+
     def test_other_integer_and_value_types_give_the_same_kernels(self):
         A = build_tensor(3, 4, [((1, 2, 3), 2.0), ((4, 4, 1), 3.0), ((2, 1, 1), 5.0)])
         B = Tensor(3, 4, A.indices.astype(np.uint8), [2, 3, 5])
