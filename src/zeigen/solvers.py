@@ -284,7 +284,8 @@ def _contract(A: Tensor, x: np.ndarray) -> tuple:
     if not np.all(np.isfinite(x)):
         return None, None
     T = jacobian_T(A, x)
-    return T @ x / (A.m - 1), T
+    # numpy's own row sums, not matmul: BLAS picks its dgemv kernel by CPU
+    return (T * x).sum(axis=1) / (A.m - 1), T
 
 
 class _Stop(Exception):
