@@ -1,6 +1,13 @@
 """Command-line front-end: solve a tensor eigenproblem, sweep many random
 starts, or validate a tensor file.
 
+Every format renders the same records, each described once below: a
+solve's summary (JSON; text, one ``label: value`` line per field) and its
+trace rows (CSV; JSON and text under ``--trace``), and a sweep's
+eigenpairs (JSON, CSV with space-separated vectors, text).  ``check``
+prints two text lines.  Floats carry 17 significant digits; JSON ends with
+a timestamp unless ``--no-timestamp`` is given.
+
 Exit codes: 0 success, 1 bad input (parse failure, bad flags), 2 solver
 failure (the report still goes to stdout with the failure status).
 """
@@ -16,9 +23,15 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import ZeigenError
-from .harness import EigenpairSet, multi_start, simplex_start
+from .harness import multi_start, simplex_start
 from .solvers import METHODS, SolveReport, SolverConfig, solve
 from .tensor import Tensor, apply, load_tensor, ratio_bounds
+
+TRACE_COLUMNS = ("k", "lambda", "lambda_hat", "lambda_low", "lambda_high", "residual", "flags")
+PAIR_COLUMNS = ("eigenvalue", "eigenvector", "residual", "start")
+# Text labels: summary fields not shown by name, and a pair's first three.
+SUMMARY_LABELS = {"failure_reason": "reason", "notes": "note"}
+PAIR_LABELS = ("lambda", "x", "residual")
 
 
 def _fmt(value: float) -> str:
@@ -52,29 +65,34 @@ def _json_text(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _cell(value, sep: str = " ") -> str:
+    """A CSV cell or text value: .17g floats, None empty, vectors ``sep``-joined."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return sep.join(map(_fmt, value))
+    if isinstance(value, (int, str)):
+        return str(value)
+    return _fmt(value)
+
+
+def _text(value) -> str:
+    return f"[{_cell(value, ', ')}]" if isinstance(value, list) else _cell(value)
+
+
+def _csv(columns, rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+    return buf.getvalue()
+
+
 def _vector(x) -> list[float]:
     return [float(v) for v in x]
 
 
-def _trace_rows(report: SolveReport) -> list[dict]:
-    rows = []
-    for rec in report.trace:
-        rows.append(
-            {
-                "k": rec.k,
-                "lambda": rec.lam,
-                "lambda_hat": rec.lam_hat,
-                "lambda_low": rec.lam_low,
-                "lambda_high": rec.lam_high,
-                "residual": rec.residual,
-                "flags": ";".join(rec.flags),
-                "x": _vector(rec.x),
-            }
-        )
-    return rows
-
-
-def _solve_report_dict(report: SolveReport, with_trace: bool, timestamp: bool) -> dict:
+def _summary(report: SolveReport) -> dict:
     out = {
         "method": report.method,
         "status": report.status,
@@ -87,49 +105,29 @@ def _solve_report_dict(report: SolveReport, with_trace: bool, timestamp: bool) -
         out["failure_reason"] = report.failure_reason
     if report.notes:
         out["notes"] = list(report.notes)
-    if with_trace:
-        out["trace"] = _trace_rows(report)
-    if timestamp:
-        out["timestamp"] = datetime.now(timezone.utc).isoformat()
     return out
 
 
-def _trace_csv(report: SolveReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "lambda", "lambda_hat", "lambda_low", "lambda_high", "residual", "flags"])
-    for rec in report.trace:
-        writer.writerow(
-            [
-                rec.k,
-                _fmt(rec.lam),
-                "" if rec.lam_hat is None else _fmt(rec.lam_hat),
-                "" if rec.lam_low is None else _fmt(rec.lam_low),
-                "" if rec.lam_high is None else _fmt(rec.lam_high),
-                _fmt(rec.residual),
-                ";".join(rec.flags),
-            ]
-        )
-    return buf.getvalue()
+def _trace_row(rec) -> dict:
+    values = (rec.k, rec.lam, rec.lam_hat, rec.lam_low, rec.lam_high, rec.residual,
+              ";".join(rec.flags))
+    return dict(zip(TRACE_COLUMNS, values), x=_vector(rec.x))
 
 
-def _solve_text(report: SolveReport, with_trace: bool) -> str:
-    lines = [
-        f"method:     {report.method}",
-        f"status:     {report.status}",
-        f"eigenvalue: {_fmt(report.final.lam)}",
-        f"eigenvector: [{', '.join(_fmt(v) for v in report.final.x)}]",
-        f"residual:   {_fmt(report.final.residual_norm)}",
-        f"iterations: {report.iterations}",
-    ]
-    if report.failure_reason:
-        lines.append(f"reason:     {report.failure_reason}")
-    for note in report.notes:
-        lines.append(f"note:       {note}")
-    if with_trace:
-        lines.append("trace:")
-        lines.append(_trace_csv(report).rstrip("\n"))
-    return "\n".join(lines)
+def _pair_row(p) -> dict:
+    return dict(zip(PAIR_COLUMNS, (p.lam, _vector(p.x), p.residual, _vector(p.start))))
+
+
+def _emit(args, record: dict, columns, rows: list[dict], text: list[str]) -> None:
+    """Print ``record`` as JSON, ``rows`` under ``columns`` as CSV, or ``text``."""
+    if args.format == "json":
+        if not args.no_timestamp:
+            record["timestamp"] = datetime.now(timezone.utc).isoformat()
+        print(_json_text(record))
+    elif args.format == "csv":
+        sys.stdout.write(_csv(columns, rows))
+    else:
+        print("\n".join(text))
 
 
 def _parse_x0(spec: str, tensor: Tensor) -> np.ndarray:
@@ -173,64 +171,30 @@ def cmd_solve(args) -> int:
     config = _config(args)
     x0 = _parse_x0(args.x0, tensor)
     report = solve(tensor, x0, config, lam0=args.lambda0)
-    if args.format == "json":
-        print(_json_text(_solve_report_dict(report, args.trace, not args.no_timestamp)))
-    elif args.format == "csv":
-        sys.stdout.write(_trace_csv(report))
-    else:
-        print(_solve_text(report, args.trace))
+    summary = _summary(report)
+    trace = [_trace_row(rec) for rec in report.trace]
+    text = [f"{SUMMARY_LABELS.get(key, key) + ':':<11} {_text(item)}"
+            for key, value in summary.items() for item in (value if key == "notes" else [value])]
+    if args.trace:
+        text += ["trace:", _csv(TRACE_COLUMNS, trace).rstrip("\n")]
+    _emit(args, dict(summary, trace=trace) if args.trace else summary, TRACE_COLUMNS, trace, text)
     return 0 if report.converged else 2
-
-
-def _sweep_dict(result: EigenpairSet, args, timestamp: bool) -> dict:
-    out = {
-        "method": args.method,
-        "starts": args.starts,
-        "seed": args.seed,
-        "eigenpairs": [
-            {
-                "eigenvalue": p.lam,
-                "eigenvector": _vector(p.x),
-                "residual": p.residual,
-                "start": _vector(p.start),
-            }
-            for p in result
-        ],
-        "failures": [
-            {"start": _vector(f.start), "status": f.status, "reason": f.reason}
-            for f in result.failures
-        ],
-    }
-    if timestamp:
-        out["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return out
 
 
 def cmd_sweep(args) -> int:
     tensor = load_tensor(args.tensor)
-    config = _config(args)
-    result = multi_start(tensor, args.starts, args.seed, config)
-    if args.format == "json":
-        print(_json_text(_sweep_dict(result, args, not args.no_timestamp)))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["eigenvalue", "eigenvector", "residual", "start"])
-        for p in result:
-            writer.writerow(
-                [
-                    _fmt(p.lam),
-                    " ".join(_fmt(v) for v in p.x),
-                    _fmt(p.residual),
-                    " ".join(_fmt(v) for v in p.start),
-                ]
-            )
-    else:
-        print(f"{len(result)} distinct eigenpairs from {args.starts} starts "
-              f"({len(result.failures)} failed runs)")
-        for p in result:
-            print(f"  lambda = {_fmt(p.lam)}  x = [{', '.join(_fmt(v) for v in p.x)}]  "
-                  f"residual = {_fmt(p.residual)}")
-    return 0 if len(result) > 0 else 2
+    result = multi_start(tensor, args.starts, args.seed, _config(args))
+    pairs = [_pair_row(p) for p in result]
+    failures = [{"start": _vector(f.start), "status": f.status, "reason": f.reason}
+                for f in result.failures]
+    record = {"method": args.method, "starts": args.starts, "seed": args.seed,
+              "eigenpairs": pairs, "failures": failures}
+    text = [f"{len(pairs)} distinct eigenpairs from {args.starts} starts "
+            f"({len(failures)} failed runs)"]
+    text += ["  " + "  ".join(f"{k} = {_text(v)}" for k, v in zip(PAIR_LABELS, row.values()))
+             for row in pairs]
+    _emit(args, record, PAIR_COLUMNS, pairs, text)
+    return 0 if pairs else 2
 
 
 def cmd_check(args) -> int:
@@ -243,9 +207,10 @@ def cmd_check(args) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHODS, default="mpni")
-    p.add_argument("--tol", type=float, default=1e-12, help="residual stop tolerance")
-    p.add_argument("--max-iter", type=int, default=100)
+    defaults = SolverConfig()
+    p.add_argument("--method", choices=METHODS, default=defaults.method)
+    p.add_argument("--tol", type=float, default=defaults.tol, help="residual stop tolerance")
+    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
     p.add_argument("--beta", default=None,
                    help="damping factor(s) for pni, e.g. '0.5' or '0,0.1,0.2'")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")

@@ -18,6 +18,10 @@ from .tensor import Iterate, Tensor, _tensor, apply, jacobian_T
 ORDER_FLOOR = 1e-13
 ORDER_CEIL = 1e-2
 
+# dedup's clustering tolerances: on ||x - x'||_1 and on |lam - lam'|.
+DEDUP_X_TOL = 1e-8
+DEDUP_LAMBDA_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Eigenpair:
@@ -107,20 +111,19 @@ def multi_start(
     return result
 
 
-def dedup(pairs, x_tol: float = 1e-8, lambda_tol: float = 1e-8) -> EigenpairSet:
+def dedup(pairs) -> EigenpairSet:
     """Collapse near-identical eigenpairs, keeping the lowest-residual
     representative of each cluster.
 
-    Two pairs cluster iff ``||x - x'||_1 < x_tol`` and
-    ``|lam - lam'| < lambda_tol``.  The survivors are sorted by eigenvalue.
+    Two pairs cluster iff ``||x - x'||_1 < DEDUP_X_TOL`` and
+    ``|lam - lam'| < DEDUP_LAMBDA_TOL``.  The survivors are sorted by
+    eigenvalue.
     """
-    if x_tol <= 0 or lambda_tol <= 0:
-        raise ValueError("dedup tolerances must be positive")
     ordered = sorted(pairs, key=lambda p: (p.residual, p.lam, tuple(p.x)))
     kept: list[Eigenpair] = []
     for p in ordered:
         close = any(
-            np.linalg.norm(p.x - q.x, 1) < x_tol and abs(p.lam - q.lam) < lambda_tol
+            np.linalg.norm(p.x - q.x, 1) < DEDUP_X_TOL and abs(p.lam - q.lam) < DEDUP_LAMBDA_TOL
             for q in kept
         )
         if not close:

@@ -288,8 +288,7 @@ def ratio_bounds(w, v) -> tuple[float, float]:
     if vnorm == 0.0:
         raise ZeroVector("ratio bounds need v != 0")
 
-    in_s2 = np.abs(v) > RATIO_ZERO_TOL * vnorm
-    if np.all(in_s2) and np.all(v > 0):
+    if v.min() > RATIO_ZERO_TOL * vnorm:
         ratios = w / v
         return float(ratios.min()), float(ratios.max())
 
@@ -300,6 +299,7 @@ def ratio_bounds(w, v) -> tuple[float, float]:
         raise NegativeInput("extended ratio bounds need w >= 0")
 
     in_s1 = np.abs(w) > RATIO_ZERO_TOL * wnorm
+    in_s2 = np.abs(v) > RATIO_ZERO_TOL * vnorm
     ratios = w[in_s2] / v[in_s2]
     upper = float(ratios.max())
     lower = float(ratios.min())

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from zeigen.cli import main
+from zeigen import SolverConfig
+from zeigen.cli import _config, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -224,3 +225,9 @@ class TestNumberFormatting:
         mantissa = literal.replace("-", "").replace(".", "").lstrip("0")
         assert len(mantissa) >= 16
         assert float(literal) == json.loads(out)["eigenvalue"]
+
+
+def test_solver_flag_defaults_are_the_config_defaults():
+    parser = build_parser()
+    for argv in (["solve", "--tensor", "t.tns"], ["sweep", "--tensor", "t.tns", "--starts", "1"]):
+        assert _config(parser.parse_args(argv)) == SolverConfig()

@@ -105,10 +105,6 @@ class TestDedup:
         reversed_order = dedup(list(reversed(pairs)))
         assert [p.lam for p in reversed_order] == [p.lam for p in first]
 
-    def test_tolerances_validated(self):
-        with pytest.raises(ValueError):
-            dedup([], x_tol=0.0)
-
 
 def _synthetic_trace(errors, x_star, lam_star):
     trace = IterationTrace()

@@ -293,6 +293,14 @@ class TestRatioBounds:
             assert np.all(w / v >= low - 1e-15)
             assert np.all(w / v <= high + 1e-15)
 
+    def test_dust_signed_zero_and_subnormal_v(self):
+        # a component at or below RATIO_ZERO_TOL * ||v||_1 counts as zero,
+        # -0.0 too; a subnormal v whose threshold underflows to 0 keeps the
+        # plain ratios
+        assert ratio_bounds([1.0, 1.0], [1.0, 1e-16]) == (0.0, 1.0)
+        assert ratio_bounds([2.0, 3.0], [-0.0, 1.0]) == (0.0, 3.0)
+        assert ratio_bounds([1e-323, 5e-324], [5e-324, 5e-324]) == (1.0, 2.0)
+
     def test_exact_pair_collapses_interval(self):
         # row sums 1: x = [0.5, 0.5] is an eigenvector with eigenvalue 1
         A = build_tensor(2, 2, [((1, 1), 0.5), ((1, 2), 0.5), ((2, 1), 0.5), ((2, 2), 0.5)])
