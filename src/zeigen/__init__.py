@@ -34,9 +34,7 @@ from .harness import (
 from .linalg import (
     SolveDiagnostics,
     bordered_matrix,
-    bordered_rcond,
     ensure_bordered_nonsingular,
-    shift_rcond,
     solve_bordered,
     solve_shifted,
 )

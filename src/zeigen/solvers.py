@@ -17,7 +17,10 @@ step rule that forms the next ``(x, lam)``:
   the iterate onto the probability simplex and clamping of the shift at
   zero.
 
-MNI and PNI also move a near-singular shift before the iterate is traced.
+MNI, PNI and ``newton_step_closed`` share one closed-form update through
+``w = (lam I - T(x))^{-1} x``: the Newton value ``(lam - 1 / e^T w) /
+(m-1)`` and the direction ``(m-2) x + w / e^T w``.  MNI and PNI share one
+search that moves a near-singular shift before the iterate is traced.
 
 Each iterate costs one Jacobian ``T(x)``: the residual and the ratio
 interval take the contraction from it by Euler's identity, ``A x^{m-1} =
@@ -27,6 +30,7 @@ T(x) x / (m-1)``, and the next step's shifted or bordered system reuses it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +81,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 0:
+            raise ValueError(f"max_iter must be a nonnegative integer, got {self.max_iter!r}")
         if self.beta_schedule is not None:
             betas = tuple(float(b) for b in self.beta_schedule)
             if any(not 0.0 <= b <= 1.0 for b in betas):
@@ -195,15 +199,28 @@ def newton_step_closed(
     """
     x = np.asarray(x, dtype=float)
     w_hat, _ = solve_shifted(lam, jacobian_T(A, x), x)
+    lam_next = _newton_value(A.m, lam, w_hat)
+    if lam_next is None:
+        raise ZeroDenominator(
+            f"e^T w = {float(w_hat.sum())!r} vanishes; "
+            f"the bordered matrix at lam={lam!r} is singular"
+        )
+    return _direction(A.m, x, w_hat) / (A.m - 1), lam_next, w_hat
+
+
+def _newton_value(m: int, lam: float, w_hat: np.ndarray) -> float | None:
+    """``(lam - 1 / e^T w) / (m-1)`` for ``w_hat = (lam I - T(x))^{-1} x``, or
+    None when ``e^T w`` vanishes against ``||w||_1`` (see ``ZERO_DENOM_TOL``)."""
     e_w = float(w_hat.sum())
     if abs(e_w) < ZERO_DENOM_TOL * np.linalg.norm(w_hat, 1):
-        raise ZeroDenominator(
-            f"e^T w = {e_w!r} vanishes; the bordered matrix at lam={lam!r} is singular"
-        )
-    m = A.m
-    x_next = ((m - 2) * x + w_hat / e_w) / (m - 1)
-    lam_next = (lam - 1.0 / e_w) / (m - 1)
-    return x_next, float(lam_next), w_hat
+        return None
+    return float((lam - 1.0 / e_w) / (m - 1))
+
+
+def _direction(m: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``(m-2) x + w / e^T w``: ``m-1`` times the closed-form Newton iterate
+    when ``w`` is the raw solve, MNI's candidate when ``w`` is its projection."""
+    return (m - 2) * x + w / w.sum()
 
 
 def project_sign_dominant(w_hat) -> np.ndarray:
@@ -297,27 +314,36 @@ class _Stop(Exception):
         self.status, self.reason = status, reason
 
 
+def _projected(x_hat: np.ndarray) -> np.ndarray:
+    """:func:`proj_simplex`, with an empty projection stopping the run."""
+    try:
+        return proj_simplex(x_hat)
+    except ProjectionEmpty as exc:
+        raise _Stop("projection_empty", str(exc)) from None
+
+
 def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport:
     """Run one scheme from ``(x, lam)`` with ``pair = (A x^{m-1}, T(x))``
     (see :func:`_contract`).
 
     ``fields`` are the :class:`StepRecord` fields besides ``k, x, lam,
-    residual`` of the current iterate.  ``step(k, x, lam, pair, fields)``
-    returns the next ``(x, lam, pair, fields)`` or raises :class:`_Stop`.
-    ``check(k, x, lam, T, fields)``, when given, runs before an unconverged
-    finite iterate is recorded; it returns ``(lam, flag)``, where a flag
-    means the shift moved, or raises :class:`_Stop` (the iterate is still
-    recorded).  The final iterate of the report is the last one formed.
+    residual`` of the current iterate.  ``check(x, lam, T, fields)``, when
+    given, runs before an unconverged finite iterate is recorded; it returns
+    ``(lam, solved, flag)``, where a flag means the shift moved, or raises
+    :class:`_Stop` (the iterate is still recorded).  ``step(k, x, lam, pair,
+    fields, solved)`` gets that ``solved`` (None without a check) and returns
+    the next ``(x, lam, pair, fields)`` or raises :class:`_Stop`.  The final
+    iterate of the report is the last one formed.
     """
     trace = IterationTrace()
-    status, reason = "max_iter", None
+    status, reason, solved = "max_iter", None, None
     for k in range(cfg.max_iter + 1):
         ax, T = pair
         res = _residual(ax, x, lam)
         stop = None
         if check is not None and math.isfinite(res) and res >= cfg.tol:
             try:
-                lam, flag = check(k, x, lam, T, fields)
+                lam, solved, flag = check(x, lam, T, fields)
             except _Stop as exc:
                 stop = exc
             else:
@@ -336,7 +362,7 @@ def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport
             status, reason = "diverged", f"residual {res:.3e} exceeded divergence bound"
         elif k < cfg.max_iter:
             try:
-                x, lam, pair, fields = step(k, x, lam, pair, fields)
+                x, lam, pair, fields = step(k, x, lam, pair, fields, solved)
             except _Stop as exc:
                 status, reason = exc.status, exc.reason
             else:
@@ -359,7 +385,7 @@ def run_newton(
     pair = _contract(A, x)
     lam = ratio_bounds(pair[0], x)[1] if lam0 is None else float(lam0)
 
-    def step(k, x, lam, pair, fields):
+    def step(k, x, lam, pair, fields, _):
         ax, T = pair
         try:
             x, lam = newton_step_bordered(A, x, lam, T=T, ax=ax)
@@ -373,52 +399,48 @@ def run_newton(
     return _iterate("newton", config or SolverConfig(method="newton"), x, lam, pair, {}, step)
 
 
-def _shifted_or_none(lam, T, x):
-    """``(lam I - T)^{-1} x`` from one LU, or None when the shift is (near-)singular."""
-    try:
-        return solve_shifted(lam, T, x)[0]
-    except SingularShift:
-        return None
-
-
-def _bisect_shift_in_interval(lam, lam_low, lam_high, T, x):
-    """Move a (near-)singular shift within [lam_low, lam_high] by bisecting
-    toward the opposite endpoint until the shifted matrix is nonsingular;
-    return that shift and ``(shift I - T)^{-1} x``, or None."""
-    target = lam_low if (lam_high - lam) <= (lam - lam_low) else lam_high
-    cur = lam
-    for _ in range(INTERVAL_ADJUST_ATTEMPTS):
-        cur = 0.5 * (cur + target)
-        w_hat = _shifted_or_none(cur, T, x)
-        if w_hat is not None:
-            return cur, w_hat
+def _first_nonsingular(shifts, T, x):
+    """The first shift in ``shifts`` whose matrix ``shift I - T`` is not
+    (near-)singular, with ``(shift I - T)^{-1} x`` from its LU; or None."""
+    for shift in shifts:
+        try:
+            return shift, solve_shifted(shift, T, x)[0]
+        except SingularShift:
+            pass
     return None
+
+
+def _bisection(lam, lam_low, lam_high):
+    """Shifts bisecting from ``lam`` toward the farther end of ``[lam_low,
+    lam_high]``, ``INTERVAL_ADJUST_ATTEMPTS`` of them."""
+    target = lam_low if (lam_high - lam) <= (lam - lam_low) else lam_high
+    for _ in range(INTERVAL_ADJUST_ATTEMPTS):
+        lam = 0.5 * (lam + target)
+        yield lam
 
 
 def _shift_iterate(method, A, x0, cfg, rescue, update) -> SolveReport:
     """MNI and PNI: start at the upper ratio bound of ``x0 > 0``.  Before
     each record, solve ``(lam I - T(x)) w = x``; when the shift is
-    (near-)singular, ``rescue(k, lam, fields, T, x)`` returns a moved shift,
-    its solve and a flag, or raises :class:`_Stop`.  Each step is
-    ``update(k, x, lam, w)``."""
+    (near-)singular, ``rescue(lam, fields)`` gives the shifts to try in its
+    place, the flag to record for the one taken, and the failure reason when
+    none serves.  Each step is ``update(k, x, lam, pair, fields, w)``."""
     x = _check_start(A, x0, cone="open")
     pair = _contract(A, x)
     lam_low, lam_high = ratio_bounds(pair[0], x)
-    w_hat = None
 
-    def check(k, x, lam, T, fields):
-        nonlocal w_hat
-        w_hat = _shifted_or_none(lam, T, x)
-        if w_hat is not None:
-            return lam, None
-        lam, w_hat, flag = rescue(k, lam, fields, T, x)
-        return lam, flag
-
-    def step(k, x, lam, pair, fields):
-        return update(k, x, lam, w_hat)
+    def check(x, lam, T, fields):
+        found = _first_nonsingular((lam,), T, x)
+        if found is not None:
+            return (*found, None)
+        shifts, flag, reason = rescue(lam, fields)
+        found = _first_nonsingular(shifts, T, x)
+        if found is None:
+            raise _Stop("perturbation_exhausted", reason)
+        return (*found, flag)
 
     fields = {"lam_hat": None, "lam_low": lam_low, "lam_high": lam_high, "flags": ()}
-    return _iterate(method, cfg, x, lam_high, pair, fields, step, check)
+    return _iterate(method, cfg, x, lam_high, pair, fields, update, check)
 
 
 def _next_interval(A: Tensor, x: np.ndarray, **fields):
@@ -442,27 +464,18 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     matrix near-singular is bisected within the interval before it is used.
     """
 
-    def rescue(k, lam, fields, T, x):
+    def rescue(lam, fields):
         lam_low, lam_high = fields["lam_low"], fields["lam_high"]
-        moved = _bisect_shift_in_interval(lam, lam_low, lam_high, T, x)
-        if moved is None:
-            raise _Stop(
-                "perturbation_exhausted",
-                f"no nonsingular shift found in [{lam_low!r}, {lam_high!r}]",
-            )
-        return (*moved, "lambda_adjusted")
+        reason = f"no nonsingular shift found in [{lam_low!r}, {lam_high!r}]"
+        return _bisection(lam, lam_low, lam_high), "lambda_adjusted", reason
 
-    def update(k, x, lam, w_hat):
-        e_w = float(w_hat.sum())
+    def update(k, x, lam, pair, fields, w_hat):
         w = project_sign_dominant(w_hat)
         flags = ("projection_changed",) if np.any(w != w_hat) else ()
-        x_tilde = (A.m - 2) * x + w / w.sum()
-        x = x_tilde / np.linalg.norm(x_tilde, 1)
-        if abs(e_w) < ZERO_DENOM_TOL * np.linalg.norm(w_hat, 1):
-            lam_hat = None
+        lam_hat = _newton_value(A.m, lam, w_hat)
+        if lam_hat is None:
             flags += ("zero_denominator_branch",)
-        else:
-            lam_hat = (lam - 1.0 / e_w) / (A.m - 1)
+        x = _projected(_direction(A.m, x, w))
         pair, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
         lam = mni_select_lambda(lam_hat, fields["lam_low"], fields["lam_high"])
         return x, lam, pair, fields
@@ -472,8 +485,7 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
 
 def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     """Projected Newton iteration: the auxiliary vector is used unprojected
-    and the candidate iterate has its negative components zeroed before
-    normalization.
+    and the candidate iterate is projected onto the probability simplex.
 
     The next shift follows the damped rule with ``beta`` from the config
     schedule; when that shift leaves the shifted matrix near-singular,
@@ -484,37 +496,27 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     cfg = config or SolverConfig(method="pni")
     beta_steps: list[int] = []
 
-    def rescue(k, lam, fields, T, x):
+    def rescue(lam, fields):
         # Re-damp the last Newton value with the fallback betas (the
         # configured one gave ``lam``); before the first step, bisect.
         lam_hat, lam_low, lam_high = fields["lam_hat"], fields["lam_low"], fields["lam_high"]
+        reason = "no damping factor made the shifted matrix nonsingular"
         if lam_hat is None:
-            moved = _bisect_shift_in_interval(lam, lam_low, lam_high, T, x)
-            if moved is not None:
-                return (*moved, "lambda_adjusted")
-        else:
-            for beta in BETA_FALLBACK:
-                candidate = pni_select_lambda(lam_hat, lam_low, lam_high, beta)
-                w_hat = None if candidate == lam else _shifted_or_none(candidate, T, x)
-                if w_hat is not None:
-                    return candidate, w_hat, "beta_escalated"
-        raise _Stop(
-            "perturbation_exhausted", "no damping factor made the shifted matrix nonsingular"
-        )
+            return _bisection(lam, lam_low, lam_high), "lambda_adjusted", reason
+        damped = (pni_select_lambda(lam_hat, lam_low, lam_high, beta) for beta in BETA_FALLBACK)
+        return (c for c in damped if c != lam), "beta_escalated", reason
 
-    def update(k, x, lam, w_hat):
-        e_w = float(w_hat.sum())
-        if abs(e_w) < ZERO_DENOM_TOL * np.linalg.norm(w_hat, 1):
+    def update(k, x, lam, pair, fields, w_hat):
+        lam_hat = _newton_value(A.m, lam, w_hat)
+        if lam_hat is None:
             raise _Stop(
                 "perturbation_exhausted",
                 "e^T w = 0: the bordered matrix is singular and the "
                 "unprojected update divides by zero",
             )
-        x_tilde = (A.m - 2) * x + w_hat / e_w
-        clamped = np.maximum(x_tilde, 0.0)
-        flags = ("projection_changed",) if np.any(clamped != x_tilde) else ()
-        x = clamped / np.linalg.norm(clamped, 1)
-        lam_hat = (lam - 1.0 / e_w) / (A.m - 1)
+        x_tilde = _direction(A.m, x, w_hat)
+        flags = ("projection_changed",) if np.any(x_tilde < 0) else ()
+        x = _projected(x_tilde)
         pair, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
         beta = cfg.beta_at(k)
         if beta > 0:
@@ -541,17 +543,14 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     pair = _contract(A, x)
     lam_low, lam_high = ratio_bounds(pair[0], x)
 
-    def step(k, x, lam, pair, fields):
+    def step(k, x, lam, pair, fields, _):
         ax, T = pair
         try:
             lam_use, diag = ensure_bordered_nonsingular(lam, T, x)
         except PerturbationExhausted as exc:
             raise _Stop("perturbation_exhausted", str(exc)) from None
         x_hat, lam_hat = newton_step_bordered(A, x, lam_use, T=T, ax=ax, factored=diag)
-        try:
-            x = proj_simplex(x_hat)
-        except ProjectionEmpty as exc:
-            raise _Stop("projection_empty", str(exc)) from None
+        x = _projected(x_hat)
         flags = ("lambda_perturbed",) if diag.perturbation > 0 else ()
         if np.any(x_hat < 0):
             flags += ("projection_changed",)

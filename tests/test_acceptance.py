@@ -17,7 +17,6 @@ from zeigen import (
     SolverConfig,
     apply,
     bordered_matrix,
-    bordered_rcond,
     ensure_bordered_nonsingular,
     estimate_order,
     fd_check,
@@ -29,8 +28,8 @@ from zeigen import (
     random_tensor,
     ratio_bounds,
     run_mpni,
-    shift_rcond,
 )
+from zeigen.linalg import bordered_rcond, shift_rcond
 
 from conftest import quartic2_eigenpairs_oracle
 

@@ -10,13 +10,12 @@ from zeigen import (
     SingularBordered,
     SingularShift,
     bordered_matrix,
-    bordered_rcond,
     ensure_bordered_nonsingular,
     jacobian_T,
-    shift_rcond,
     solve_bordered,
     solve_shifted,
 )
+from zeigen.linalg import bordered_rcond, shift_rcond
 
 from conftest import gauss_solve
 

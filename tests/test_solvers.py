@@ -76,7 +76,8 @@ class TestNewtonSteps:
             assert abs(x_next.sum() - 1.0) <= 1e-12
 
     def test_closed_form_matches_bordered(self):
-        from zeigen import bordered_rcond, jacobian_T, shift_rcond
+        from zeigen import jacobian_T
+        from zeigen.linalg import bordered_rcond, shift_rcond
 
         rng = np.random.default_rng(23)
         checked = 0
@@ -109,6 +110,26 @@ class TestNewtonSteps:
         # (1.5 I - diag(1,2))^{-1} [0.5, 0.5] = [1, -1] sums to zero
         with pytest.raises(ZeroDenominator):
             newton_step_closed(diag_matrix, np.array([0.5, 0.5]), 1.5)
+
+    @pytest.mark.parametrize("run", [run_mni, run_pni])
+    def test_shift_schemes_take_the_closed_form_step(self, run):
+        # The Newton value of a first MNI or PNI step is the closed form's,
+        # bit for bit; PNI's iterate is the closed-form iterate projected.
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 40:
+            m = int(rng.choice([2, 3, 4]))
+            n = int(rng.integers(2, 7))
+            A = random_tensor(m, n, float(rng.uniform(0.3, 1.0)), int(rng.integers(1e9)))
+            x0 = random_simplex(rng, n)
+            trace = run(A, x0, SolverConfig(max_iter=1)).trace
+            if len(trace) < 2 or trace[0].flags or trace[1].lam_hat is None:
+                continue  # converged at x0, moved its first shift, or e^T w = 0
+            xc, lc, _ = newton_step_closed(A, x0, trace[0].lam)
+            assert trace[1].lam_hat == lc
+            if run is run_pni:
+                np.testing.assert_array_max_ulp(trace[1].x, proj_simplex(xc), maxulp=8)
+            checked += 1
 
 
 class TestProjections:
@@ -202,6 +223,17 @@ class TestConfig:
             SolverConfig(beta_schedule=(0.5, 1.5))
         with pytest.raises(ValueError):
             SolverConfig(max_iter=-1)
+
+    def test_max_iter_must_be_an_integer(self):
+        # range() in the solver loop would raise TypeError on a float budget
+        with pytest.raises(ValueError, match="max_iter must be a nonnegative integer"):
+            SolverConfig(max_iter=2.5)
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+
+    def test_tol_must_be_finite(self):
+        # an infinite tol would certify any start as converged at iteration 0
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolverConfig(tol=float("inf"))
 
     def test_beta_lookup(self):
         cfg = SolverConfig(beta_schedule=(0.1, 0.2))
