@@ -3,10 +3,13 @@
 Both systems are solved by LU with partial pivoting; near-singularity is
 detected with the LAPACK 1-norm reciprocal-condition estimator.  Matrices
 here are small (the solvers target n up to a few dozen), so dense
-factorizations are the simplest correct choice.
+factorizations are the simplest correct choice.  Each matrix is filled
+into one fresh array, with the bits of ``lam * np.eye(n) - T``, and its
+1-norm for the estimator is ``np.linalg.norm(M, 1)``'s own formula, the
+largest column sum of ``|M|``.
 
 ``dgetrf``, ``dgecon`` and ``dgetrs`` come from scipy's LAPACK extension
-``scipy/linalg/_flapack*``, and the Jacobian kernel's ``coo_matvec`` from
+``scipy/linalg/_flapack*``, and the Jacobian kernel's ``csr_matvec`` from
 ``scipy/sparse/_sparsetools*``.  Both are loaded from their files: the
 ``scipy.linalg`` and ``scipy.sparse`` package inits are most of a
 ``zeigen`` process's time.  They are the binaries those packages use, so
@@ -58,8 +61,8 @@ def _load_extension(package: str, name: str, fallback: str):
 
 
 lapack = _load_extension("linalg", "_flapack", "scipy.linalg.lapack")
-# y[i[k]] += a[k] * x[j[k]] for k in input order, with no bounds checks
-coo_matvec = _load_extension("sparse", "_sparsetools", "scipy.sparse._sparsetools").coo_matvec
+# y[i] += a[k] * x[j[k]] for k in indptr[i]:indptr[i+1], row by row, with no bounds checks
+csr_matvec = _load_extension("sparse", "_sparsetools", "scipy.sparse._sparsetools").csr_matvec
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,19 @@ class SolveDiagnostics:
         return self.rcond < RCOND_THRESHOLD
 
 
+def _shifted(lam: float, T: np.ndarray, size: int) -> np.ndarray:
+    """A ``size`` x ``size`` array whose leading block is ``lam*I - T``, with the
+    bits of ``lam * np.eye(n) - T``: ``lam*0.0 - T`` off the diagonal (``+0.0``,
+    not ``-T``'s ``-0.0``, where ``T`` is ``+0.0`` and ``lam >= 0``); the rest is
+    left unset."""
+    n = T.shape[0]
+    M = np.empty((size, size))
+    np.subtract(lam * 0.0, T, out=M[:n, :n])
+    # the leading block's diagonal, as a strided view of M
+    np.subtract(lam, T.diagonal(), out=M.reshape(-1)[: n * (size + 1) : size + 1])
+    return M
+
+
 def bordered_matrix(lam: float, T: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The (n+1) x (n+1) matrix [[lam*I - T, x], [e^T, 0]]."""
     T = np.asarray(T, dtype=float)
@@ -83,16 +99,17 @@ def bordered_matrix(lam: float, T: np.ndarray, x: np.ndarray) -> np.ndarray:
     n = x.size
     if T.shape != (n, n):
         raise DimensionMismatch(f"T has shape {T.shape}, expected ({n}, {n})")
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = lam * np.eye(n) - T
+    M = _shifted(lam, T, n + 1)
     M[:n, n] = x
     M[n, :n] = 1.0
+    M[n, n] = 0.0
     return M
 
 
 def _factor(M: np.ndarray):
     """LU-factor M and estimate its 1-norm reciprocal condition number."""
-    anorm = float(np.linalg.norm(M, 1)) if M.size else 0.0
+    # np.linalg.norm(M, 1)'s own formula: the largest column sum of |M|
+    anorm = float(np.abs(M).sum(axis=0).max()) if M.size else 0.0
     lu, piv, info = lapack.dgetrf(M)
     if info > 0 or anorm == 0.0:
         return lu, piv, 0.0
@@ -113,7 +130,7 @@ def _lu_solve(lu, piv, b: np.ndarray) -> np.ndarray:
 def shift_rcond(lam: float, T: np.ndarray) -> float:
     """Reciprocal condition estimate of lam*I - T."""
     T = np.asarray(T, dtype=float)
-    _, _, rcond = _factor(lam * np.eye(T.shape[0]) - T)
+    _, _, rcond = _factor(_shifted(lam, T, T.shape[0]))
     return rcond
 
 
@@ -134,7 +151,7 @@ def solve_shifted(lam: float, T: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
     n = b.size
     if T.shape != (n, n):
         raise DimensionMismatch(f"T has shape {T.shape}, expected ({n}, {n})")
-    lu, piv, rcond = _factor(lam * np.eye(n) - T)
+    lu, piv, rcond = _factor(_shifted(lam, T, n))
     diag = SolveDiagnostics(rcond=rcond)
     if diag.singular:
         raise SingularShift(
@@ -174,7 +191,9 @@ def solve_bordered(
             f"(rcond={diag.rcond:.3e})",
             diagnostics=diag,
         )
-    rhs = np.concatenate([r, [float(s)]])
+    rhs = np.empty(r.size + 1)
+    rhs[:-1] = r
+    rhs[-1] = s
     sol = _lu_solve(lu, piv, rhs)
     return sol[:-1], float(sol[-1]), diag
 

@@ -212,7 +212,7 @@ def _newton_value(m: int, lam: float, w_hat: np.ndarray) -> float | None:
     """``(lam - 1 / e^T w) / (m-1)`` for ``w_hat = (lam I - T(x))^{-1} x``, or
     None when ``e^T w`` vanishes against ``||w||_1`` (see ``ZERO_DENOM_TOL``)."""
     e_w = float(w_hat.sum())
-    if abs(e_w) < ZERO_DENOM_TOL * np.linalg.norm(w_hat, 1):
+    if abs(e_w) < ZERO_DENOM_TOL * np.abs(w_hat).sum():
         return None
     return float((lam - 1.0 / e_w) / (m - 1))
 
@@ -292,13 +292,13 @@ def _residual(ax: np.ndarray | None, x: np.ndarray, lam: float) -> float:
     NaN when the iterate is not finite (``ax`` is None or ``lam`` is not)."""
     if ax is None or not math.isfinite(lam):
         return np.nan
-    return float(np.linalg.norm(ax - lam * x, 1))
+    return float(np.abs(ax - lam * x).sum())  # np.linalg.norm(..., 1)'s own formula
 
 
 def _contract(A: Tensor, x: np.ndarray) -> tuple:
     """``(A x^{m-1}, T(x))`` from one Jacobian, the contraction by Euler's
     identity ``T(x) x / (m-1)``; ``(None, None)`` for a non-finite ``x``."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         return None, None
     T = jacobian_T(A, x)
     # numpy's own row sums, not matmul: BLAS picks its dgemv kernel by CPU
@@ -552,7 +552,7 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
         x_hat, lam_hat = newton_step_bordered(A, x, lam_use, T=T, ax=ax, factored=diag)
         x = _projected(x_hat)
         flags = ("lambda_perturbed",) if diag.perturbation > 0 else ()
-        if np.any(x_hat < 0):
+        if x_hat.min() < 0:  # a NaN here makes the iterate diverge, unrecorded
             flags += ("projection_changed",)
         fields = {"lam_hat": lam_hat, "flags": flags, "perturbation": diag.perturbation}
         return x, max(lam_hat, 0.0), _contract(A, x), fields

@@ -12,17 +12,22 @@ contraction from ``T(x) x / (m-1)`` instead.
 Only ``jacobian_T`` has an index plan, built once per :class:`Tensor` and
 read-only.  It takes the products of ``x`` from the flat ``d``-fold outer
 power ``x ⊗ ... ⊗ x``, ``d <= m-2`` the largest depth with ``n^d <= nnz``
-(so the table is never larger than the tensor), in one block per variable
-position ``p = 2..m``: the plan holds each entry's output cell ``i1 * n +
-ip`` and table index, int32 unless ``n^2`` or ``nnz`` needs int64.  A
-block is one call of scipy's compiled loop ``coo_matvec``, ``y[cell[k]] +=
-values[k] * table[index[k]]`` for ``k`` in input order.  Factors the depth
+(so the table is never larger than the tensor).  Each entry gives one term
+per variable position ``p = 2..m``, for output cell ``i1 * n + ip``; the
+plan holds the ``(m-1) * nnz`` terms stable-sorted by cell, one row per
+occupied cell (never ``n^2`` rows), with each term's table index and value.
+Its index arrays are int32 unless ``n^2`` or ``(m-1) * nnz`` needs int64,
+except the occupied cells, which are numpy's own index type.  The
+Jacobian is one call of scipy's compiled loop ``csr_matvec``, ``y[c] +=
+values[k] * table[index[k]]`` over the terms ``k`` of each occupied cell
+``c`` in turn, and the row sums go into their cells.  Factors the depth
 leaves out are multiplied into the taken table entries per term, and that
 array, indexed by ``k``, is then the table.  The bits are those of one
 gather per position, products left to right and ``np.add.at`` position
 after position: a table entry is the same products in the same order,
 ``values[k] * p`` is ``p * values[k]``, and each output cell adds its terms
-in input order from ``+0.0``.
+from ``+0.0``, position 2 first, then 3 up to ``m``, in input order within
+each position.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .errors import (
     TensorFormatError,
     ZeroVector,
 )
-from .linalg import coo_matvec
+from .linalg import csr_matvec
 
 # Components of v smaller than RATIO_ZERO_TOL * ||v||_1 count as zero when
 # forming componentwise ratio bounds; floating-point dust left behind by a
@@ -55,35 +60,48 @@ _ONE.setflags(write=False)
 
 
 class _Plan(NamedTuple):
-    """Read-only index arrays of one tensor for ``jacobian_T``."""
+    """Read-only index arrays of one tensor for ``jacobian_T``; the terms are
+    ordered cell by cell, and within a cell by position, then input order."""
 
     depth: int  # the table is the depth-fold outer power of x
-    cells: np.ndarray  # (m-1, nnz): i1 * n + ip, for p = 2..m in turn
-    flats: np.ndarray  # (m-1, nnz): the table index, of the others of p
-    rests: tuple  # per p, the positions the table leaves out
+    cells: np.ndarray  # (occupied,): the cells i1 * n + ip that have terms, ascending, intp
+    indptr: np.ndarray  # (occupied + 1,): the terms of cells[c] are indptr[c]:indptr[c+1]
+    flats: np.ndarray  # (terms,): the table index, of the other positions' indices
+    values: np.ndarray  # (terms,): the entry's value
+    rests: np.ndarray  # (m-2-depth, terms): x indices of the factors the table leaves out
 
 
-def _build_plan(m: int, n: int, indices: np.ndarray) -> _Plan:
-    """The plan of checked ``indices`` of the kernels' index type."""
+def _build_plan(m: int, n: int, indices: np.ndarray, values: np.ndarray) -> _Plan:
+    """The plan of checked ``indices``, of the kernels' index type, and their
+    ``values``."""
     nnz, dtype = len(indices), indices.dtype
     depth = 0  # the largest d <= m-2 with n^d <= nnz
     while depth < m - 2 and n ** (depth + 1) <= nnz:
         depth += 1
-    # filled one block at a time, so no (m-1, nnz) temporary exists
-    cells = np.empty((m - 1, nnz), dtype=dtype)
-    flats = np.empty((m - 1, nnz), dtype=dtype)
-    rests = []
-    for row, p in enumerate(range(1, m)):
-        others = [q for q in range(1, m) if q != p]
-        flat = 0
-        for q in others[:depth]:
-            flat = flat * n + indices[:, q]
-        flats[row] = flat
-        cells[row] = indices[:, 0] * n + indices[:, p]
-        rests.append(tuple(others[depth:]))
-    for part in (cells, flats):
+    cols = indices.T  # (m, nnz), one contiguous row per position
+    cells = (cols[0] * n + cols[1:]).ravel()  # position 2's terms, then 3's, ...
+    # a stable sort; numpy's radix sort on 16-bit keys takes linear time
+    order = (cells.astype(np.uint16) if n * n <= 1 << 16 else cells).argsort(kind="stable")
+    # others[j, p-1] is the j-th position other than p, for p = 1..m-1
+    others = np.array([[q for q in range(1, m) if q != p] for p in range(1, m)], dtype=np.intp).T
+    flats = cols[others[0]] if depth else np.zeros((m - 1, nnz), dtype=dtype)
+    for column in others[1:depth]:  # in place, to keep the build's peak memory low
+        flats *= n
+        flats += cols[column]
+    flats = flats.ravel().take(order)
+    rests = cols[others[depth:]].reshape(m - 2 - depth, cells.size)[:, order]
+    cells = cells.take(order)
+    edges = np.ones(cells.size + 1, dtype=bool)  # a cell's first term, and the end
+    np.not_equal(cells[1:], cells[:-1], out=edges[1:-1])
+    indptr = edges.nonzero()[0].astype(dtype)
+    # the occupied cells (the terms' cells go), as numpy's own index type:
+    # jacobian_T scatters through them, and any other type is cast per call
+    cells = cells.take(indptr[:-1]).astype(np.promote_types(dtype, np.intp))
+    values = values.take(np.remainder(order, max(nnz, 1), out=order))  # each term's entry
+    plan = _Plan(depth, cells, indptr, flats, values, rests)
+    for part in plan[1:]:
         part.setflags(write=False)
-    return _Plan(depth, cells, flats, tuple(rests))
+    return plan
 
 
 def _power_table(x: np.ndarray, depth: int) -> np.ndarray:
@@ -100,14 +118,15 @@ class Tensor:
 
     ``indices`` has shape (nnz, m) with 0-based integer entries in
     ``[0, n)``; the tensor keeps a read-only column-major copy in the
-    kernels' index type (int32 unless ``n^2`` or ``nnz`` needs int64).
+    kernels' index type (int32 unless ``n^2`` or ``(m-1) * nnz`` needs int64).
     ``values`` has shape (nnz,), finite and nonnegative, and is kept as a
     float array.  The constructor checks these, since the compiled kernel
     loop checks no bounds.  It does not look for repeated index tuples:
     the kernels sum them, as scipy's COO format does, and
     :func:`build_tensor` is the entry point that rejects them.  The
     Jacobian's index plan (see the module docstring) is derived once, at
-    construction, and is read-only.  ``==`` and ``hash()`` go by identity.
+    construction, and is read-only; it holds ``O((m-1) * nnz)`` entries and
+    nothing with ``n^2`` entries.  ``==`` and ``hash()`` go by identity.
     Instances are safe to share across concurrent solves.
     """
 
@@ -135,15 +154,15 @@ class Tensor:
             raise IndexOutOfRange(f"indices must lie in [0, {self.n - 1}]")
         if values.size and not (values.min() >= 0 and values.max() < np.inf):  # NaN fails too
             raise NegativeEntry("values must be finite and nonnegative")
-        # cells i1 * n + ip of T(x), table indices and term numbers all
-        # stay below max(n^2, nnz)
-        bound = max(self.n * self.n, values.size)
+        # cells i1 * n + ip of T(x), table indices, term numbers and the
+        # plan's indptr all stay within max(n^2, (m-1) * nnz)
+        bound = max(self.n * self.n, (self.m - 1) * values.size)
         dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
         indices = np.array(indices, dtype=dtype, order="F")
         indices.setflags(write=False)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_plan", _build_plan(self.m, self.n, indices))
+        object.__setattr__(self, "_plan", _build_plan(self.m, self.n, indices, values))
 
     @property
     def nnz(self) -> int:
@@ -252,16 +271,18 @@ def jacobian_T(A: Tensor, x) -> np.ndarray:
     out = np.zeros(A.n * A.n)
     if A.nnz:
         plan = A._plan
-        power = _power_table(x, plan.depth)
-        for cells, index, rest in zip(plan.cells, plan.flats, plan.rests):
-            table = power
-            if rest:  # one product per term, then indexed by the term itself
-                table = power.take(index)
-                for q in rest:
-                    table *= x.take(A.indices[:, q])
-                index = np.arange(A.nnz, dtype=index.dtype)
-            # out[cells[k]] += values[k] * table[index[k]], k in input order
-            coo_matvec(A.nnz, cells, index, A.values, table, out)
+        table, index = _power_table(x, plan.depth), plan.flats
+        if len(plan.rests):  # one product per term, then indexed by the term itself
+            table = table.take(index)
+            for rest in plan.rests:
+                table *= x.take(rest)
+            index = np.arange(table.size, dtype=index.dtype)
+        # with every cell occupied, cells is 0, 1, ..., n^2 - 1
+        sums = out if plan.cells.size == out.size else np.zeros(plan.cells.size)
+        # sums[c] += values[k] * table[index[k]] over the terms k of cell c
+        csr_matvec(sums.size, table.size, plan.indptr, index, plan.values, table, sums)
+        if sums is not out:
+            out[plan.cells] = sums
     return out.reshape(A.n, A.n)
 
 
@@ -284,7 +305,7 @@ def ratio_bounds(w, v) -> tuple[float, float]:
     v = np.asarray(v, dtype=float)
     if w.shape != v.shape or w.ndim != 1:
         raise DimensionMismatch(f"need equal-length vectors, got {w.shape} and {v.shape}")
-    vnorm = float(np.linalg.norm(v, 1))
+    vnorm = float(np.abs(v).sum())  # np.linalg.norm(v, 1)'s own formula
     if vnorm == 0.0:
         raise ZeroVector("ratio bounds need v != 0")
 
@@ -294,7 +315,7 @@ def ratio_bounds(w, v) -> tuple[float, float]:
 
     if np.any(v < -RATIO_ZERO_TOL * vnorm):
         raise NegativeInput("extended ratio bounds need v >= 0")
-    wnorm = float(np.linalg.norm(w, 1))
+    wnorm = float(np.abs(w).sum())
     if np.any(w < -RATIO_ZERO_TOL * max(wnorm, 1.0)):
         raise NegativeInput("extended ratio bounds need w >= 0")
 

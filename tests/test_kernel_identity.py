@@ -9,12 +9,16 @@ the contraction, independent of it, that the checks use.  The property runs at
 the ``max_examples`` of the loaded hypothesis profile (``tests/conftest.py``).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zeigen.tensor
 from zeigen import Tensor, apply, build_tensor, jacobian_T, random_tensor
+from zeigen.tensor import _build_plan
 
 
 def reference_apply(A: Tensor, x: np.ndarray) -> np.ndarray:
@@ -108,7 +112,10 @@ def test_kernels_match_reference_bits_on_every_plan_kind(make, depth):
     A = make()
     plan = A._plan
     assert plan.depth == depth
-    assert A.indices.dtype == plan.flats.dtype == plan.cells.dtype == np.int32
+    assert plan.rests.shape == (A.m - 2 - depth, (A.m - 1) * A.nnz)
+    for part in (A.indices, plan.indptr, plan.flats, plan.rests):
+        assert part.dtype == np.int32
+    assert plan.cells.dtype == np.intp and plan.values.dtype == np.float64
     row_major = Tensor(A.m, A.n, np.ascontiguousarray(A.indices), A.values)
     for x in (mixed_vector(A.n, 0), -np.abs(mixed_vector(A.n, 1)) - 0.5):
         for B in (A, row_major):
@@ -116,10 +123,48 @@ def test_kernels_match_reference_bits_on_every_plan_kind(make, depth):
             assert_same_bits(jacobian_T(B, x), reference_jacobian(B, x))
 
 
+@pytest.mark.parametrize("make, depth", PLAN_CASES)
+def test_one_compiled_call_per_jacobian(monkeypatch, make, depth):
+    A = make()
+    compiled, rows = zeigen.tensor.csr_matvec, []
+
+    def counting(n_row, *args):
+        rows.append(n_row)
+        return compiled(n_row, *args)
+
+    monkeypatch.setattr(zeigen.tensor, "csr_matvec", counting)
+    jacobian_T(A, mixed_vector(A.n, 3))
+    # one row per occupied cell of T(x), never one per cell
+    assert rows == [A._plan.cells.size]
+    assert A._plan.cells.size <= min(A.n * A.n, (A.m - 1) * A.nnz)
+
+
+@pytest.mark.parametrize("make, depth", PLAN_CASES)
+def test_int64_plan_gives_the_same_jacobian_bits(make, depth):
+    # a tensor whose plan needs int64 has a T(x) too large to form here, so
+    # the int64 loop runs on a plan built from int64 copies of the indices
+    A = make()
+    object.__setattr__(A, "_plan", _build_plan(A.m, A.n, A.indices.astype(np.int64), A.values))
+    assert A._plan.indptr.dtype == A._plan.flats.dtype == np.int64
+    x = mixed_vector(A.n, 4)
+    assert_same_bits(jacobian_T(A, x), reference_jacobian(A, x))
+
+
 def test_int64_plan_when_the_jacobian_cells_pass_int32():
     n = 46341  # n * n > 2**31 - 1; T(x) itself would take 17 GB, so only apply runs
-    A = build_tensor(2, n, [((n, n), 2.0), ((1, n), 3.0), ((n, 1), 0.5)])
-    assert A.indices.dtype == A._plan.cells.dtype == np.int64
+    entries = [((n, n), 2.0), ((1, n), 3.0), ((n, 1), 0.5)]
+    tracemalloc.start()
+    try:
+        A = build_tensor(2, n, entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # nothing with n or n^2 entries
+    plan = A._plan
+    assert A.indices.dtype == plan.cells.dtype == plan.indptr.dtype == np.int64
+    # per term an int64 table index, a value, at most one cell and indptr
+    # entry, and indptr's closing entry: O(nnz), with no row per cell
+    assert sum(part.nbytes for part in plan[1:]) <= 40 * (A.m - 1) * A.nnz
     x = mixed_vector(n, 2)
     assert_same_bits(apply(A, x), reference_apply(A, x))
 
@@ -130,15 +175,20 @@ def test_every_plan_kind_is_covered():
 
 
 def test_plan_is_compact_and_read_only_on_family_shapes():
-    # family-sized tensors are many and small: the plan holds int32 cells
-    # and table indices per block, m-1 blocks for jacobian_T, so at most
-    # 8*(m-1) bytes per stored entry
+    # family-sized tensors are many and small: per term of jacobian_T, m-1
+    # per stored entry, the plan holds an int32 table index and a float
+    # value, and an int32 x index per factor the table leaves out; per
+    # occupied cell of T(x) an intp cell and an int32 indptr entry; and
+    # indptr's closing entry
     for m in range(2, 6):
         for n in range(1, 7):
             for density in (0.05, 0.3, 1.0):
                 A = random_tensor(m, n, density, m * n)
-                plan = [part for part in A._plan if isinstance(part, np.ndarray)]
-                assert sum(part.nbytes for part in plan) <= 8 * (m - 1) * A.nnz, (m, n, density)
-                for part in plan + [A.indices]:
-                    assert part.dtype == np.int32, (m, n, density, part.dtype)
+                plan = A._plan
+                bound = 12 * (m - 1) * A.nnz + 4 * plan.rests.size + 12 * plan.cells.size + 4
+                assert sum(part.nbytes for part in plan[1:]) <= bound, (m, n, density)
+                for part in (A.indices, plan.indptr, plan.flats, plan.rests):
+                    assert part.dtype == np.int32
+                assert plan.cells.dtype == np.intp and plan.values.dtype == np.float64
+                for part in plan[1:] + (A.indices,):
                     assert not part.flags.writeable

@@ -15,6 +15,7 @@ from zeigen import (
     solve_bordered,
     solve_shifted,
 )
+from zeigen import linalg
 from zeigen.linalg import bordered_rcond, shift_rcond
 
 from conftest import gauss_solve
@@ -69,6 +70,22 @@ class TestSolveBordered:
         d, delta, diag = solve_bordered(0.0, T, np.array([1.0, 0.0, 0.0]), r, 0.3)
         assert not diag.singular
         assert_allclose(M @ np.concatenate([d, [delta]]), np.concatenate([r, [0.3]]), atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [2.5, 0.0, -0.0, -1.5])
+    def test_matrix_bits_match_lam_eye_minus_T(self, lam):
+        # signed zeros: lam * 0.0 - T off the diagonal, which is +0.0, not
+        # -T's -0.0, where T holds +0.0 and lam >= 0
+        T = np.array([[0.0, 1.5, -0.0], [0.0, 2.0, 0.0], [-0.25, 0.0, -0.0]])
+        x = np.array([0.5, 0.0, 0.5])
+        shifted = lam * np.eye(3) - T
+        expected = np.zeros((4, 4))
+        expected[:3, :3] = shifted
+        expected[:3, 3] = x
+        expected[3, :3] = 1.0
+        M = bordered_matrix(lam, T, x)
+        assert M.shape == expected.shape
+        assert (M.view(np.int64) == expected.view(np.int64)).all()
+        assert (linalg._shifted(lam, T, 3).view(np.int64) == shifted.view(np.int64)).all()
 
     def test_matches_elimination_oracle(self):
         rng = np.random.default_rng(31)

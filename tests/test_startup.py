@@ -38,10 +38,10 @@ def test_routines_are_scipy_linalg_lapack_objects():
         assert getattr(linalg.lapack, name) is getattr(scipy.linalg.lapack, name)
 
 
-def test_coo_matvec_is_the_scipy_sparsetools_object():
+def test_csr_matvec_is_the_scipy_sparsetools_object():
     import scipy.sparse  # noqa: F401  (the package init imports its _sparsetools)
 
-    assert linalg.coo_matvec is importlib.import_module("scipy.sparse._sparsetools").coo_matvec
+    assert linalg.csr_matvec is importlib.import_module("scipy.sparse._sparsetools").csr_matvec
 
 
 def _raise_import_error(*args):
