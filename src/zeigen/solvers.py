@@ -2,8 +2,11 @@
 
 One loop (``_iterate``) runs all four schemes: it traces every iterate and
 stops on ``||A x^{m-1} - lam x||_1 < tol``, on divergence, after
-``max_iter`` steps or when a step fails.  The schemes differ only in the
-step rule that forms the next ``(x, lam)``:
+``max_iter`` steps or when a step fails.  It alone turns a step's
+:class:`ProjectionEmpty` or :class:`PerturbationExhausted` into the status
+``projection_empty`` or ``perturbation_exhausted``, with the message as the
+reason.  The schemes differ only in the step rule that forms the next
+``(x, lam)``:
 
 * ``run_newton``  -- a plain Newton step through the bordered system; no
   projection, no clamping.  Baseline; may leave the nonnegative cone.
@@ -21,6 +24,8 @@ MNI, PNI and ``newton_step_closed`` share one closed-form update through
 ``w = (lam I - T(x))^{-1} x``: the Newton value ``(lam - 1 / e^T w) /
 (m-1)`` and the direction ``(m-2) x + w / e^T w``.  MNI and PNI share one
 search that moves a near-singular shift before the iterate is traced.
+MNI, PNI and MPNI start from the contraction and ratio interval that
+``_next_interval`` gives, as every later MNI and PNI iterate does.
 
 Each iterate costs one Jacobian ``T(x)``: the residual and the ratio
 interval take the contraction from it by Euler's identity, ``A x^{m-1} =
@@ -314,12 +319,14 @@ class _Stop(Exception):
         self.status, self.reason = status, reason
 
 
-def _projected(x_hat: np.ndarray) -> np.ndarray:
-    """:func:`proj_simplex`, with an empty projection stopping the run."""
-    try:
-        return proj_simplex(x_hat)
-    except ProjectionEmpty as exc:
-        raise _Stop("projection_empty", str(exc)) from None
+def _next_interval(A: Tensor, x: np.ndarray, **fields):
+    """The contraction pair (see :func:`_contract`) and record fields, with
+    the ratio interval, of an MNI, PNI or MPNI start or a later MNI/PNI iterate."""
+    pair = _contract(A, x)
+    if pair[0] is None:
+        raise _Stop("diverged", "non-finite iterate")
+    lam_low, lam_high = ratio_bounds(pair[0], x)
+    return pair, {"lam_low": lam_low, "lam_high": lam_high, **fields}
 
 
 def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport:
@@ -332,8 +339,10 @@ def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport
     ``(lam, solved, flag)``, where a flag means the shift moved, or raises
     :class:`_Stop` (the iterate is still recorded).  ``step(k, x, lam, pair,
     fields, solved)`` gets that ``solved`` (None without a check) and returns
-    the next ``(x, lam, pair, fields)`` or raises :class:`_Stop`.  The final
-    iterate of the report is the last one formed.
+    the next ``(x, lam, pair, fields)``, or raises :class:`_Stop`,
+    :class:`ProjectionEmpty` or :class:`PerturbationExhausted` (see the
+    module docstring).  The final iterate of the report is the last one
+    formed.
     """
     trace = IterationTrace()
     status, reason, solved = "max_iter", None, None
@@ -365,6 +374,10 @@ def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport
                 x, lam, pair, fields = step(k, x, lam, pair, fields, solved)
             except _Stop as exc:
                 status, reason = exc.status, exc.reason
+            except ProjectionEmpty as exc:
+                status, reason = "projection_empty", str(exc)
+            except PerturbationExhausted as exc:
+                status, reason = "perturbation_exhausted", str(exc)
             else:
                 continue
         break
@@ -426,8 +439,7 @@ def _shift_iterate(method, A, x0, cfg, rescue, update) -> SolveReport:
     place, the flag to record for the one taken, and the failure reason when
     none serves.  Each step is ``update(k, x, lam, pair, fields, w)``."""
     x = _check_start(A, x0, cone="open")
-    pair = _contract(A, x)
-    lam_low, lam_high = ratio_bounds(pair[0], x)
+    pair, fields = _next_interval(A, x, lam_hat=None, flags=())
 
     def check(x, lam, T, fields):
         found = _first_nonsingular((lam,), T, x)
@@ -439,18 +451,7 @@ def _shift_iterate(method, A, x0, cfg, rescue, update) -> SolveReport:
             raise _Stop("perturbation_exhausted", reason)
         return (*found, flag)
 
-    fields = {"lam_hat": None, "lam_low": lam_low, "lam_high": lam_high, "flags": ()}
-    return _iterate(method, cfg, x, lam_high, pair, fields, update, check)
-
-
-def _next_interval(A: Tensor, x: np.ndarray, **fields):
-    """The contraction pair (see :func:`_contract`) and record fields of a
-    new MNI/PNI iterate, with its ratio interval."""
-    pair = _contract(A, x)
-    if pair[0] is None:
-        raise _Stop("diverged", "non-finite iterate")
-    lam_low, lam_high = ratio_bounds(pair[0], x)
-    return pair, {"lam_low": lam_low, "lam_high": lam_high, **fields}
+    return _iterate(method, cfg, x, fields["lam_high"], pair, fields, update, check)
 
 
 def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
@@ -475,7 +476,7 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
         lam_hat = _newton_value(A.m, lam, w_hat)
         if lam_hat is None:
             flags += ("zero_denominator_branch",)
-        x = _projected(_direction(A.m, x, w))
+        x = proj_simplex(_direction(A.m, x, w))
         pair, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
         lam = mni_select_lambda(lam_hat, fields["lam_low"], fields["lam_high"])
         return x, lam, pair, fields
@@ -516,7 +517,7 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
             )
         x_tilde = _direction(A.m, x, w_hat)
         flags = ("projection_changed",) if np.any(x_tilde < 0) else ()
-        x = _projected(x_tilde)
+        x = proj_simplex(x_tilde)
         pair, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
         beta = cfg.beta_at(k)
         if beta > 0:
@@ -540,17 +541,13 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     simplex, and clamps each candidate shift at zero.
     """
     x = _check_start(A, x0, cone="closed")
-    pair = _contract(A, x)
-    lam_low, lam_high = ratio_bounds(pair[0], x)
+    pair, fields = _next_interval(A, x)
 
     def step(k, x, lam, pair, fields, _):
         ax, T = pair
-        try:
-            lam_use, diag = ensure_bordered_nonsingular(lam, T, x)
-        except PerturbationExhausted as exc:
-            raise _Stop("perturbation_exhausted", str(exc)) from None
+        lam_use, diag = ensure_bordered_nonsingular(lam, T, x)
         x_hat, lam_hat = newton_step_bordered(A, x, lam_use, T=T, ax=ax, factored=diag)
-        x = _projected(x_hat)
+        x = proj_simplex(x_hat)
         flags = ("lambda_perturbed",) if diag.perturbation > 0 else ()
         if x_hat.min() < 0:  # a NaN here makes the iterate diverge, unrecorded
             flags += ("projection_changed",)
@@ -558,8 +555,7 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
         return x, max(lam_hat, 0.0), _contract(A, x), fields
 
     cfg = config or SolverConfig(method="mpni")
-    fields = {"lam_low": lam_low, "lam_high": lam_high}
-    return _iterate("mpni", cfg, x, lam_high, pair, fields, step)
+    return _iterate("mpni", cfg, x, fields["lam_high"], pair, fields, step)
 
 
 def solve(

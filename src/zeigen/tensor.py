@@ -119,9 +119,10 @@ class Tensor:
     ``indices`` has shape (nnz, m) with 0-based integer entries in
     ``[0, n)``; the tensor keeps a read-only column-major copy in the
     kernels' index type (int32 unless ``n^2`` or ``(m-1) * nnz`` needs int64).
-    ``values`` has shape (nnz,), finite and nonnegative, and is kept as a
-    float array.  The constructor checks these, since the compiled kernel
-    loop checks no bounds.  It does not look for repeated index tuples:
+    ``values`` has shape (nnz,), finite and nonnegative; the tensor keeps a
+    read-only float copy, so no later write to the caller's arrays reaches
+    the checked tensor.  The constructor checks these, since the compiled
+    kernel loop checks no bounds.  It does not look for repeated index tuples:
     the kernels sum them, as scipy's COO format does, and
     :func:`build_tensor` is the entry point that rejects them.  The
     Jacobian's index plan (see the module docstring) is derived once, at
@@ -142,7 +143,7 @@ class Tensor:
         if self.m < 2 or self.n < 1:
             raise ValueError(f"need order >= 2 and dimension >= 1, got m={self.m} n={self.n}")
         indices = np.asarray(self.indices)
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float, order="C", ndmin=1)  # always a copy
         if indices.dtype.kind not in "iu":
             raise TypeError(f"indices must be an integer array, got dtype {indices.dtype}")
         if values.ndim != 1 or indices.shape != (values.size, self.m):
@@ -160,6 +161,7 @@ class Tensor:
         dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
         indices = np.array(indices, dtype=dtype, order="F")
         indices.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_plan", _build_plan(self.m, self.n, indices, values))
@@ -179,9 +181,9 @@ class Iterate:
 
 
 def _tensor(m: int, n: int, rows, vals, lines=None, source="") -> Tensor:
-    """Check 1-based index ``rows`` and their values ``vals`` (a fresh float
-    array, kept) as arrays and build the :class:`Tensor`; the first offending
-    row decides the error.  With ``lines``, messages start ``source:line:``."""
+    """Check 1-based index ``rows`` and their values ``vals`` (a float array)
+    as arrays and build the :class:`Tensor`; the first offending row decides
+    the error.  With ``lines``, messages start ``source:line:``."""
     if m < 2:
         raise ValueError(f"tensor order must be >= 2, got {m}")
     if n < 1:
@@ -213,7 +215,6 @@ def _tensor(m: int, n: int, rows, vals, lines=None, source="") -> Tensor:
         raise DuplicateIndexTuple(f"{at}index tuple {tup} already defined on line {lines[first]}")
     del out, order, ranked, repeat, bad  # the tensor below reuses their memory
     idx -= 1
-    vals.setflags(write=False)
     return Tensor(m=int(m), n=int(n), indices=idx, values=vals)
 
 

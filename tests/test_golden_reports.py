@@ -15,7 +15,8 @@ residual at 17 significant digits, and a sha256 over every trace field
 (the bytes of ``x`` and the exact hex of each float).  Comparison is
 exact.  After a deliberate behaviour change, first classify the
 difference with ``PYTHONPATH=src python tests/test_golden_reports.py
---diff`` (it writes nothing), then rewrite the file with
+--diff`` (it writes nothing, and exits 1 if any solve is not identical),
+then rewrite the file with
 ``PYTHONPATH=src python tests/test_golden_reports.py`` and quote the table.
 """
 
@@ -178,9 +179,10 @@ def _kind(old: list, new: list) -> str:
     return "identical" if old == new else "last_bits"
 
 
-def _print_diff(expected: dict, actual: dict) -> None:
+def _print_diff(expected: dict, actual: dict) -> int:
     """A count per kind of difference, then every solve of the first four
-    kinds, in family order, with the fields that differ."""
+    kinds, in family order, with the fields that differ; returns the number
+    of solves that are not identical."""
     assert list(actual) == list(expected)
     kinds = {kind: [] for kind in KINDS}
     for label, entry in expected.items():
@@ -193,6 +195,7 @@ def _print_diff(expected: dict, actual: dict) -> None:
             print(f"{label} {kind} ({old['status']}, {old['iterations']} iterations):",
                   *(f"{name} {old[name]} -> {new[name]}" for name in FIELDS[:-1]
                     if old[name] != new[name]), sep="\n  ")
+    return len(expected) - len(kinds["identical"])
 
 
 def test_diff_ranks_the_gravest_kind_first():
@@ -212,9 +215,20 @@ def test_diff_ranks_the_gravest_kind_first():
     assert kind(status="max_iter", failure_reason=None) == "status"
 
 
+def test_diff_counts_the_solves_that_are_not_identical(capsys):
+    base = ["converged", 3, None, [], [], "1.5", "1e-13", "aa"]
+    expected = {"0/mni/1": base, "1/mni/1": base, "2/mni/1": base}
+    assert _print_diff(expected, expected) == 0
+    actual = {**expected, "1/mni/1": base[:-1] + ["bb"], "2/mni/1": base[:1] + [4] + base[2:]}
+    assert _print_diff(expected, actual) == 2
+    out = capsys.readouterr().out
+    assert "identical      3" in out and "identical      1" in out
+    assert "last_bits      1" in out and "iterations     1" in out
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        _print_diff(_load(), _reports())
+        sys.exit(1 if _print_diff(_load(), _reports()) else 0)
     else:
         GOLDEN.write_text(_dump(_reports()), encoding="utf-8")
         print(f"wrote {GOLDEN}")

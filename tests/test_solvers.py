@@ -453,6 +453,21 @@ class TestDispatcher:
         with pytest.raises(ValueError, match="not 'mpni'"):
             solve(quartic2, [0.2, 0.8], lam0=5.0)  # the default method
 
+    def test_loop_maps_an_empty_projection_to_its_status(self, quartic2, monkeypatch):
+        # no tensor is known to reach it, so the projection is made to fail
+        def empty(x_hat):
+            raise ProjectionEmpty("vector has no positive components")
+
+        monkeypatch.setattr("zeigen.solvers.proj_simplex", empty)
+        for method in ("mni", "pni", "mpni"):
+            report = solve(quartic2, [0.2, 0.8], SolverConfig(method=method))
+            assert report.status == "projection_empty"
+            assert report.failure_reason == "vector has no positive components"
+            assert report.iterations == 0 and len(report.trace) == 1
+            start = report.trace[-1]
+            assert report.final.x.tobytes() == start.x.tobytes()
+            assert (report.final.lam, report.final.residual_norm) == (start.lam, start.residual)
+
     def test_determinism(self, quartic2):
         a = solve(quartic2, [0.3, 0.7])
         b = solve(quartic2, [0.3, 0.7])

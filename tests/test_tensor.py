@@ -131,6 +131,17 @@ class TestTensorConstructor:
         with pytest.raises(TypeError):
             Tensor(2, 2, np.array([[0.0, 1.0]]), np.array([1.0]))
 
+    def test_tensor_owns_its_values(self):
+        # a write to the caller's array after the check must not reach the tensor
+        v = np.array([1.0, 2.0])
+        A = Tensor(3, 2, np.array([[0, 0, 0], [1, 1, 1]]), v)
+        x = np.array([0.5, 0.5])
+        before = apply(A, x).tobytes(), jacobian_T(A, x).tobytes()
+        v[0] = -5.0
+        assert A.values is not v and not A.values.flags.writeable
+        assert A.values.tolist() == [1.0, 2.0]
+        assert (apply(A, x).tobytes(), jacobian_T(A, x).tobytes()) == before
+
     def test_equality_and_hash_go_by_identity(self):
         entries = [((1, 1), 1.0), ((2, 1), 2.0)]
         A, B = build_tensor(2, 2, entries), build_tensor(2, 2, entries)
