@@ -23,7 +23,6 @@ from .harness import (
     Eigenpair,
     EigenpairSet,
     RunFailure,
-    attach_order_estimate,
     dedup,
     estimate_order,
     fd_check,
@@ -39,7 +38,6 @@ from .linalg import (
     solve_shifted,
 )
 from .solvers import (
-    IterationTrace,
     SolveReport,
     SolverConfig,
     StepRecord,

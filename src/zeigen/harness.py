@@ -5,12 +5,13 @@ check of the contraction Jacobian."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientData
-from .solvers import IterationTrace, SolveReport, SolverConfig, solve
+from .solvers import SolverConfig, StepRecord, solve
 from .tensor import Iterate, Tensor, _tensor, apply, jacobian_T
 
 # Error window for order fitting: below the floor the sequence is rounding
@@ -132,8 +133,9 @@ def dedup(pairs) -> EigenpairSet:
     return EigenpairSet(pairs=kept)
 
 
-def estimate_order(trace: IterationTrace, reference: Iterate) -> ConvergenceEstimate:
-    """Fit the convergence order p of a trace against a converged reference.
+def estimate_order(trace: Sequence[StepRecord], reference: Iterate) -> ConvergenceEstimate:
+    """Fit the convergence order p of a trace (a report's, or any sequence
+    of records) against a converged reference, such as the report's final.
 
     The per-step error is ``e_k = ||x_k - x*||_1 + |lam_k - lam*|``; the
     slope of ``log e_{k+1}`` against ``log e_k`` is fitted over consecutive
@@ -154,16 +156,6 @@ def estimate_order(trace: IterationTrace, reference: Iterate) -> ConvergenceEsti
     log_next = np.log(errors[[k + 1 for k in pair_idx]])
     slope, _ = np.polyfit(log_prev, log_next, 1)
     return ConvergenceEstimate(order=float(slope), errors=errors, used_points=len(points))
-
-
-def attach_order_estimate(report: SolveReport) -> SolveReport:
-    """Fill ``report.order_estimate`` from its own trace and terminal
-    iterate, when enough of the tail is usable."""
-    try:
-        report.order_estimate = estimate_order(report.trace, report.final).order
-    except InsufficientData:
-        report.order_estimate = None
-    return report
 
 
 def random_tensor(m: int, n: int, density: float, seed: int) -> Tensor:

@@ -6,7 +6,9 @@ here are small (the solvers target n up to a few dozen), so dense
 factorizations are the simplest correct choice.  Each matrix is filled
 into one fresh array, with the bits of ``lam * np.eye(n) - T``, and its
 1-norm for the estimator is ``np.linalg.norm(M, 1)``'s own formula, the
-largest column sum of ``|M|``.
+largest column sum of ``|M|``.  A solve factors its matrix once, for both
+the check and the solve; ``ensure_bordered_nonsingular`` only picks a
+shift, and a solve at that shift factors its matrix again.
 
 ``dgetrf``, ``dgecon`` and ``dgetrs`` come from scipy's LAPACK extension
 ``scipy/linalg/_flapack*``, and the Jacobian kernel's ``csr_matvec`` from
@@ -22,7 +24,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
@@ -67,12 +69,10 @@ csr_matvec = _load_extension("sparse", "_sparsetools", "scipy.sparse._sparsetool
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Conditioning report for one linear solve; ``lu`` is the accepted
-    matrix's ``(lu, piv)`` when :func:`ensure_bordered_nonsingular` made it."""
+    """Conditioning report for one linear solve."""
 
     rcond: float
     perturbation: float = 0.0
-    lu: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def singular(self) -> bool:
@@ -162,33 +162,23 @@ def solve_shifted(lam: float, T: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
 
 
 def solve_bordered(
-    lam: float,
-    T: np.ndarray,
-    x: np.ndarray,
-    r: np.ndarray,
-    s: float,
-    factored: SolveDiagnostics | None = None,
+    lam: float, T: np.ndarray, x: np.ndarray, r: np.ndarray, s: float
 ) -> tuple[np.ndarray, float, SolveDiagnostics]:
     """Solve ``[[lam*I - T, x], [e^T, 0]] [d; delta] = [r; s]``.
 
     Returns ``(d, delta, diagnostics)``; raises :class:`SingularBordered`
-    when the bordered matrix is singular or nearly singular.  ``factored``
-    is the report :func:`ensure_bordered_nonsingular` returned for this
-    same ``(lam, T, x)``; its LU is used instead of factoring again.
+    when the bordered matrix is singular or nearly singular.
     """
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
     if r.shape != x.shape:
         raise DimensionMismatch(f"r has shape {r.shape}, expected {x.shape}")
-    if factored is not None and factored.lu is not None:
-        (lu, piv), diag = factored.lu, factored
-    else:
-        lu, piv, rcond = _factor(bordered_matrix(lam, T, x))
-        diag = SolveDiagnostics(rcond=rcond)
+    lu, piv, rcond = _factor(bordered_matrix(lam, T, x))
+    diag = SolveDiagnostics(rcond=rcond)
     if diag.singular:
         raise SingularBordered(
             f"bordered matrix at lam={lam!r} is singular or nearly singular "
-            f"(rcond={diag.rcond:.3e})",
+            f"(rcond={rcond:.3e})",
             diagnostics=diag,
         )
     rhs = np.empty(r.size + 1)
@@ -208,8 +198,8 @@ def ensure_bordered_nonsingular(
     ``j = 0, ..., EPS_ATTEMPTS - 1``.  The bordered determinant is a
     polynomial of degree n-1 in the shift, so only finitely many shifts are
     bad; the schedule is still bounded and raises
-    :class:`PerturbationExhausted` if every candidate fails.  The returned
-    report carries the LU of the accepted matrix for :func:`solve_bordered`.
+    :class:`PerturbationExhausted` if every candidate fails.  It only picks
+    the shift: :func:`solve_bordered` factors the accepted matrix again.
     """
     scale = max(1.0, abs(lam))
     candidate, eps = float(lam), 0.0
@@ -217,9 +207,9 @@ def ensure_bordered_nonsingular(
         if j >= 0:
             eps = scale * EPS_BASE * EPS_FACTOR**j
             candidate = float(lam + eps)
-        lu, piv, rcond = _factor(bordered_matrix(candidate, T, x))
+        _, _, rcond = _factor(bordered_matrix(candidate, T, x))
         if rcond >= RCOND_THRESHOLD:
-            return candidate, SolveDiagnostics(rcond=rcond, perturbation=eps, lu=(lu, piv))
+            return candidate, SolveDiagnostics(rcond=rcond, perturbation=eps)
     raise PerturbationExhausted(
         f"no shift perturbation of lam={lam!r} in {EPS_ATTEMPTS} attempts made the "
         f"bordered matrix nonsingular (last rcond={rcond:.3e})",

@@ -1,6 +1,7 @@
 """Newton and modified Newton iterations for nonnegative Z-eigenpairs.
 
-One loop (``_iterate``) runs all four schemes: it traces every iterate and
+One loop (``_iterate``) runs all four schemes: it records every iterate as
+a :class:`StepRecord`, the report's trace being the tuple of them, and
 stops on ``||A x^{m-1} - lam x||_1 < tol``, on divergence, after
 ``max_iter`` steps or when a step fails.  It alone turns a step's
 :class:`ProjectionEmpty` or :class:`PerturbationExhausted` into the status
@@ -18,7 +19,9 @@ reason.  The schemes differ only in the step rule that forms the next
   the shift toward the ratio interval with a factor ``beta``.
 * ``run_mpni``    -- the Newton step of ``run_newton``, then projection of
   the iterate onto the probability simplex and clamping of the shift at
-  zero.
+  zero.  Only when the bordered system at the shift is near-singular does
+  ``ensure_bordered_nonsingular`` perturb the shift upward, and the step is
+  taken again at the shift it returns.
 
 MNI, PNI and ``newton_step_closed`` share one closed-form update through
 ``w = (lam I - T(x))^{-1} x``: the Newton value ``(lam - 1 / e^T w) /
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from .errors import (
     ZeroDenominator,
     ZeroVector,
 )
-from .linalg import SolveDiagnostics, ensure_bordered_nonsingular, solve_bordered, solve_shifted
+from .linalg import ensure_bordered_nonsingular, solve_bordered, solve_shifted
 from .tensor import Iterate, Tensor, apply, jacobian_T, ratio_bounds
 
 METHODS = ("newton", "mni", "pni", "mpni")
@@ -125,36 +128,15 @@ class StepRecord:
 
 
 @dataclass
-class IterationTrace:
-    records: list[StepRecord] = field(default_factory=list)
-
-    def append(self, record: StepRecord) -> None:
-        if record.k != len(self.records):
-            raise ValueError(f"expected step {len(self.records)}, got {record.k}")
-        if not (np.isnan(record.residual) or record.residual >= 0):
-            raise ValueError(f"negative residual {record.residual}")
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-
-@dataclass
 class SolveReport:
-    """Outcome of one solver run."""
+    """Outcome of one solver run; ``trace`` holds one record per iterate,
+    record ``k`` at index ``k``, each with a finite residual."""
 
     method: str
     status: str  # converged | max_iter | diverged | perturbation_exhausted | projection_empty
     final: Iterate
     iterations: int
-    trace: IterationTrace
-    order_estimate: float | None = None
+    trace: tuple[StepRecord, ...]
     failure_reason: str | None = None
     notes: tuple[str, ...] = ()
 
@@ -169,14 +151,13 @@ def newton_step_bordered(
     lam: float,
     T: np.ndarray | None = None,
     ax: np.ndarray | None = None,
-    factored: SolveDiagnostics | None = None,
 ) -> tuple[np.ndarray, float]:
     """One Newton step through the bordered system.
 
     Solves [[lam*I - T(x), x], [e^T, 0]] [d; delta] = [lam*x - A x^{m-1};
     e^T x - 1] and returns ``(x - d, lam - delta)``.  Propagates
-    :class:`SingularBordered` when the system is (near-)singular.  ``T``,
-    ``ax = A x^{m-1}`` and ``factored`` (see :func:`solve_bordered`) are reused.
+    :class:`SingularBordered` when the system is (near-)singular.  ``T`` and
+    ``ax = A x^{m-1}`` are reused when given.
     """
     x = np.asarray(x, dtype=float)
     if T is None:
@@ -185,7 +166,7 @@ def newton_step_bordered(
         ax = apply(A, x)
     r = lam * x - ax
     s = float(x.sum() - 1.0)
-    d, delta, _ = solve_bordered(lam, T, x, r, s, factored=factored)
+    d, delta, _ = solve_bordered(lam, T, x, r, s)
     return x - d, float(lam - delta)
 
 
@@ -344,7 +325,7 @@ def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport
     module docstring).  The final iterate of the report is the last one
     formed.
     """
-    trace = IterationTrace()
+    trace = []
     status, reason, solved = "max_iter", None, None
     for k in range(cfg.max_iter + 1):
         ax, T = pair
@@ -382,7 +363,7 @@ def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport
                 continue
         break
     final = Iterate(x=np.array(x, dtype=float), lam=float(lam), residual_norm=float(res))
-    return SolveReport(method, status, final, k, trace, failure_reason=reason)
+    return SolveReport(method, status, final, k, tuple(trace), failure_reason=reason)
 
 
 def run_newton(
@@ -545,13 +526,18 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
 
     def step(k, x, lam, pair, fields, _):
         ax, T = pair
-        lam_use, diag = ensure_bordered_nonsingular(lam, T, x)
-        x_hat, lam_hat = newton_step_bordered(A, x, lam_use, T=T, ax=ax, factored=diag)
+        eps = 0.0
+        try:
+            x_hat, lam_hat = newton_step_bordered(A, x, lam, T=T, ax=ax)
+        except SingularBordered:
+            lam_use, diag = ensure_bordered_nonsingular(lam, T, x)
+            x_hat, lam_hat = newton_step_bordered(A, x, lam_use, T=T, ax=ax)
+            eps = diag.perturbation
         x = proj_simplex(x_hat)
-        flags = ("lambda_perturbed",) if diag.perturbation > 0 else ()
+        flags = ("lambda_perturbed",) if eps > 0 else ()
         if x_hat.min() < 0:  # a NaN here makes the iterate diverge, unrecorded
             flags += ("projection_changed",)
-        fields = {"lam_hat": lam_hat, "flags": flags, "perturbation": diag.perturbation}
+        fields = {"lam_hat": lam_hat, "flags": flags, "perturbation": eps}
         return x, max(lam_hat, 0.0), _contract(A, x), fields
 
     cfg = config or SolverConfig(method="mpni")

@@ -82,8 +82,10 @@ def _build_plan(m: int, n: int, indices: np.ndarray, values: np.ndarray) -> _Pla
     cells = (cols[0] * n + cols[1:]).ravel()  # position 2's terms, then 3's, ...
     # a stable sort; numpy's radix sort on 16-bit keys takes linear time
     order = (cells.astype(np.uint16) if n * n <= 1 << 16 else cells).argsort(kind="stable")
-    # others[j, p-1] is the j-th position other than p, for p = 1..m-1
-    others = np.array([[q for q in range(1, m) if q != p] for p in range(1, m)], dtype=np.intp).T
+    # others[j, p-1] is the j-th position other than p, for p = 1..m-1; an
+    # empty tensor has no terms to take positions of, so it builds no rows
+    others = np.array([[q for q in range(1, m) if q != p] for p in range(1, m if nnz else 1)],
+                      dtype=np.intp).T
     flats = cols[others[0]] if depth else np.zeros((m - 1, nnz), dtype=dtype)
     for column in others[1:depth]:  # in place, to keep the build's peak memory low
         flats *= n
@@ -126,8 +128,10 @@ class Tensor:
     the kernels sum them, as scipy's COO format does, and
     :func:`build_tensor` is the entry point that rejects them.  The
     Jacobian's index plan (see the module docstring) is derived once, at
-    construction, and is read-only; it holds ``O((m-1) * nnz)`` entries and
-    nothing with ``n^2`` entries.  ``==`` and ``hash()`` go by identity.
+    construction, and is read-only; it holds the ``(m-1) * nnz`` terms, each
+    with a table index, a value and, when the table depth falls short of
+    ``m-2``, the ``m-2-depth`` x indices of ``rests``, and nothing with ``n^2``
+    entries.  ``==`` and ``hash()`` go by identity.
     Instances are safe to share across concurrent solves.
     """
 
@@ -309,6 +313,8 @@ def ratio_bounds(w, v) -> tuple[float, float]:
     vnorm = float(np.abs(v).sum())  # np.linalg.norm(v, 1)'s own formula
     if vnorm == 0.0:
         raise ZeroVector("ratio bounds need v != 0")
+    if not vnorm < np.inf:  # NaN fails too
+        raise ValueError("ratio bounds need a finite v")
 
     if v.min() > RATIO_ZERO_TOL * vnorm:
         ratios = w / v

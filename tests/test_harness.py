@@ -9,7 +9,6 @@ from zeigen import (
     Eigenpair,
     InsufficientData,
     Iterate,
-    IterationTrace,
     SolverConfig,
     StepRecord,
     build_tensor,
@@ -107,12 +106,10 @@ class TestDedup:
 
 
 def _synthetic_trace(errors, x_star, lam_star):
-    trace = IterationTrace()
-    for k, e in enumerate(errors):
-        trace.append(
-            StepRecord(k=k, x=np.array(x_star), lam=lam_star + e, residual=max(e, 0.0))
-        )
-    return trace
+    return [
+        StepRecord(k=k, x=np.array(x_star), lam=lam_star + e, residual=max(e, 0.0))
+        for k, e in enumerate(errors)
+    ]
 
 
 class TestEstimateOrder:
@@ -155,14 +152,14 @@ class TestEstimateOrder:
         est = estimate_order(report.trace, report.final)
         assert est.order >= 1.8
 
-    def test_attach_order_estimate(self, quartic2, cubic3):
-        from zeigen import attach_order_estimate, run_mpni
+    def test_order_of_a_report_against_its_final(self, quartic2, cubic3):
+        from zeigen import run_mpni
 
-        report = attach_order_estimate(run_mpni(quartic2, [0.2, 0.8]))
-        assert report.order_estimate == pytest.approx(2.0, abs=0.2)
-        # too few usable points leaves the field unset instead of raising
-        report = attach_order_estimate(run_mpni(cubic3, [0.98, 0.01, 0.01]))
-        assert report.order_estimate is None
+        report = run_mpni(quartic2, [0.2, 0.8])
+        assert estimate_order(report.trace, report.final).order == pytest.approx(2.0, abs=0.2)
+        report = run_mpni(cubic3, [0.98, 0.01, 0.01])
+        with pytest.raises(InsufficientData):
+            estimate_order(report.trace, report.final)
 
 
 class TestRandomTensor:

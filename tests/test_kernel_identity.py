@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zeigen.tensor
-from zeigen import Tensor, apply, build_tensor, jacobian_T, random_tensor
+from zeigen import Tensor, apply, build_tensor, jacobian_T, parse_tensor_text, random_tensor
 from zeigen.tensor import _build_plan
 
 
@@ -167,6 +167,22 @@ def test_int64_plan_when_the_jacobian_cells_pass_int32():
     assert sum(part.nbytes for part in plan[1:]) <= 40 * (A.m - 1) * A.nnz
     x = mixed_vector(n, 2)
     assert_same_bits(apply(A, x), reference_apply(A, x))
+
+
+def test_empty_tensor_of_high_order_builds_no_position_table():
+    # a plan with terms takes them through a table of (m-1) * (m-2) Python
+    # ints, about 176 MB at m = 2000; a tensor without terms needs none
+    tracemalloc.start()
+    try:
+        A = parse_tensor_text("2000 2\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert A.nnz == 0 and A._plan.flats.size == A._plan.rests.size == 0
+    x = np.array([0.25, 0.75])
+    assert_same_bits(apply(A, x), np.zeros(2))
+    assert_same_bits(jacobian_T(A, x), np.zeros((2, 2)))
 
 
 def test_every_plan_kind_is_covered():

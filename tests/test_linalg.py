@@ -167,17 +167,6 @@ class TestEnsureBorderedNonsingular:
         with pytest.raises(PerturbationExhausted):
             ensure_bordered_nonsingular(1.5, T, x)
 
-    def test_returned_lu_solves_like_a_fresh_factorization(self):
-        T = np.diag([1.0, 2.0])
-        x = np.array([0.5, 0.5])
-        r, s = np.array([0.3, -0.2]), 0.1
-        for lam0 in (1.5, 3.0):  # a perturbed and an unperturbed shift
-            lam, diag = ensure_bordered_nonsingular(lam0, T, x)
-            reused = solve_bordered(lam, T, x, r, s, factored=diag)
-            fresh = solve_bordered(lam, T, x, r, s)
-            assert reused[0].tobytes() == fresh[0].tobytes()
-            assert reused[1] == fresh[1]
-
 
 class TestDeterminantDegree:
     def test_degree_is_dimension_minus_one(self):

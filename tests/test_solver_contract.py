@@ -5,11 +5,14 @@ raise.  The starts reach the boundary of what is accepted: zero entries
 for MPNI and for plain Newton from the ratio bound, and sign-mixed entries
 for plain Newton from a given shift.  The status is one of the five
 documented values; the trace holds one record per iterate reached
-(``iterations`` or ``iterations + 1`` of them); and a ``converged`` report
+(``iterations`` or ``iterations + 1`` of them), record ``k`` at index ``k``
+with a finite, nonnegative residual; and a ``converged`` report
 certifies its final iterate: residual below ``tol``, unit 1-norm, equal to
 the last trace record, and nonnegative for the methods that keep the
 iterate in the cone.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -64,6 +67,8 @@ def test_solver_contract(problem):
     assert report.status in STATUSES
     assert report.method == config.method
     assert len(report.trace) in (report.iterations, report.iterations + 1)
+    assert [rec.k for rec in report.trace] == list(range(len(report.trace)))
+    assert all(0.0 <= rec.residual < math.inf for rec in report.trace)
     if not report.converged:
         return
     final, last = report.final, report.trace[-1]

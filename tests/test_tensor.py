@@ -329,6 +329,12 @@ class TestRatioBounds:
         with pytest.raises(NegativeInput):
             ratio_bounds([1.0, 2.0], [-1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_v_rejected(self, bad):
+        # named at the norm check, not by a reduction over an empty selection
+        with pytest.raises(ValueError, match="finite v"):
+            ratio_bounds([1.0, 1.0], [bad, 1.0])
+
 
 class TestNormConversion:
     def test_already_unit(self):

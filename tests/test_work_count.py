@@ -1,6 +1,7 @@
 """Work per step: each iterate costs one Jacobian ``jacobian_T``, from
 which the solver takes the contraction (``T(x) x / (m-1)``), and each step
-one LU factorization.  No solver calls ``apply``.
+one LU factorization, except an MPNI step whose shift must be perturbed.
+No solver calls ``apply``.
 
 The counts come from rebinding the module-level names in every zeigen
 module that holds them (the way ``benchmarks/spans.py`` traces calls), so
@@ -14,6 +15,9 @@ import numpy as np
 import pytest
 
 from zeigen import SolverConfig, solve
+from zeigen.linalg import EPS_ATTEMPTS, EPS_BASE, EPS_FACTOR
+
+from test_golden_reports import _family
 
 MODULES = ("zeigen", "zeigen.tensor", "zeigen.linalg", "zeigen.solvers", "zeigen.harness")
 # counted name -> (defining module, function); _factor is the one place an LU happens
@@ -68,3 +72,30 @@ def test_one_contraction_jacobian_and_lu_per_step(quartic2, calls, config, lam0)
     assert calls["jacobian_T"] == steps + 1
     assert calls["apply"] == 0
     assert calls["lu"] == steps
+
+
+def test_a_perturbed_mpni_step_factors_its_singular_try_and_the_rescue(calls):
+    # a converged MPNI solve of the golden family with perturbed steps
+    tensor, x0, config = next(
+        (tensor, x0, config) for label, tensor, x0, config in _family() if label == "71/mpni/100"
+    )
+    report = solve(tensor, x0, config)
+    assert report.converged
+    assert any("lambda_perturbed" in rec.flags for rec in report.trace)
+    expected = 0
+    for before, rec in zip(report.trace, report.trace[1:]):
+        if rec.perturbation == 0.0:
+            expected += 1
+            continue
+        # perturbation = max(1, |lam|) * EPS_BASE * EPS_FACTOR**j for the shift lam
+        # of the step, after j rejected candidates
+        scale = max(1.0, abs(before.lam)) * EPS_BASE
+        j = next(j for j in range(EPS_ATTEMPTS) if scale * EPS_FACTOR**j == rec.perturbation)
+        # the singular try, ensure_bordered_nonsingular's retry of lam, the j
+        # rejected candidates, the accepted one, and that one again in
+        # solve_bordered.  Sending every step through the rescue and handing
+        # its LU to the solve made it 2 + j: two more factorizations per
+        # perturbed step is the price of no LU passing between the two
+        expected += 4 + j
+    assert calls["lu"] == expected
+    assert calls["jacobian_T"] == report.iterations + 1
