@@ -55,8 +55,9 @@ class SingularBordered(_DiagnosedError):
 
 
 class PerturbationExhausted(_DiagnosedError):
-    """Every shift perturbation in the schedule still left the matrix
-    singular."""
+    """No usable shift or step: every shift perturbation in the schedule
+    still left the matrix singular, or a scheme gave up on a singular
+    system; a solver run it ends reports ``perturbation_exhausted``."""
 
 
 class ZeroDenominator(ZeigenError):

@@ -6,9 +6,10 @@ here are small (the solvers target n up to a few dozen), so dense
 factorizations are the simplest correct choice.  Each matrix is filled
 into one fresh array, with the bits of ``lam * np.eye(n) - T``, and its
 1-norm for the estimator is ``np.linalg.norm(M, 1)``'s own formula, the
-largest column sum of ``|M|``.  A solve factors its matrix once, for both
-the check and the solve; ``ensure_bordered_nonsingular`` only picks a
-shift, and a solve at that shift factors its matrix again.
+largest column sum of ``|M|``.  ``SolveDiagnostics.singular`` is the one
+judge of singularity, and every LU happens inside ``solve_shifted``,
+``solve_bordered``, ``shift_rcond`` or ``bordered_rcond``; a solve factors
+its matrix once, for both the judgement and the solve.
 
 ``dgetrf``, ``dgecon`` and ``dgetrs`` come from scipy's LAPACK extension
 ``scipy/linalg/_flapack*``, and the Jacobian kernel's ``csr_matvec`` from
@@ -120,11 +121,18 @@ def _factor(M: np.ndarray):
     return lu, piv, rcond
 
 
-def _lu_solve(lu, piv, b: np.ndarray) -> np.ndarray:
+def _solve(M: np.ndarray, b: np.ndarray, error, what: str, lam: float):
+    """Factor ``M``, judge it with :attr:`SolveDiagnostics.singular` and solve
+    ``M y = b``: ``(y, diag)``.  ``error`` names ``what.format(lam)``, formatted on a raise only."""
+    lu, piv, rcond = _factor(M)
+    diag = SolveDiagnostics(rcond=rcond)
+    if diag.singular:
+        what = what.format(lam)
+        raise error(f"{what} is singular or nearly singular (rcond={rcond:.3e})", diagnostics=diag)
     sol, info = lapack.dgetrs(lu, piv, b)
     if info != 0:
         raise RuntimeError(f"dgetrs failed with info={info}")
-    return np.asarray(sol, dtype=float)
+    return np.asarray(sol, dtype=float), diag
 
 
 def shift_rcond(lam: float, T: np.ndarray) -> float:
@@ -143,22 +151,15 @@ def bordered_rcond(lam: float, T: np.ndarray, x: np.ndarray) -> float:
 def solve_shifted(lam: float, T: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve ``(lam*I - T) w = b``.
 
-    Raises :class:`SingularShift` when the reciprocal condition estimate
-    falls below ``RCOND_THRESHOLD``.
+    Raises :class:`SingularShift` when :attr:`SolveDiagnostics.singular`
+    judges the matrix singular.
     """
     T = np.asarray(T, dtype=float)
     b = np.asarray(b, dtype=float)
     n = b.size
     if T.shape != (n, n):
         raise DimensionMismatch(f"T has shape {T.shape}, expected ({n}, {n})")
-    lu, piv, rcond = _factor(_shifted(lam, T, n))
-    diag = SolveDiagnostics(rcond=rcond)
-    if diag.singular:
-        raise SingularShift(
-            f"shift lam={lam!r} is singular or nearly singular (rcond={rcond:.3e})",
-            diagnostics=diag,
-        )
-    return _lu_solve(lu, piv, b), diag
+    return _solve(_shifted(lam, T, n), b, SingularShift, "shift lam={!r}", lam)
 
 
 def solve_bordered(
@@ -173,18 +174,11 @@ def solve_bordered(
     r = np.asarray(r, dtype=float)
     if r.shape != x.shape:
         raise DimensionMismatch(f"r has shape {r.shape}, expected {x.shape}")
-    lu, piv, rcond = _factor(bordered_matrix(lam, T, x))
-    diag = SolveDiagnostics(rcond=rcond)
-    if diag.singular:
-        raise SingularBordered(
-            f"bordered matrix at lam={lam!r} is singular or nearly singular "
-            f"(rcond={rcond:.3e})",
-            diagnostics=diag,
-        )
     rhs = np.empty(r.size + 1)
     rhs[:-1] = r
     rhs[-1] = s
-    sol = _lu_solve(lu, piv, rhs)
+    M = bordered_matrix(lam, T, x)
+    sol, diag = _solve(M, rhs, SingularBordered, "bordered matrix at lam={!r}", lam)
     return sol[:-1], float(sol[-1]), diag
 
 
@@ -193,13 +187,13 @@ def ensure_bordered_nonsingular(
 ) -> tuple[float, SolveDiagnostics]:
     """Return a shift ``lam'`` whose bordered matrix is not flagged singular.
 
-    When the matrix at ``lam`` has rcond below ``RCOND_THRESHOLD``, tries
-    ``lam + max(1, |lam|) * EPS_BASE * EPS_FACTOR**j`` for
-    ``j = 0, ..., EPS_ATTEMPTS - 1``.  The bordered determinant is a
-    polynomial of degree n-1 in the shift, so only finitely many shifts are
-    bad; the schedule is still bounded and raises
-    :class:`PerturbationExhausted` if every candidate fails.  It only picks
-    the shift: :func:`solve_bordered` factors the accepted matrix again.
+    When :attr:`SolveDiagnostics.singular` judges the matrix at ``lam``
+    singular, tries ``lam + max(1, |lam|) * EPS_BASE * EPS_FACTOR**j`` for
+    ``j = 0, ..., EPS_ATTEMPTS - 1``, each through :func:`bordered_rcond`.
+    The bordered determinant is a polynomial of degree n-1 in the shift, so
+    only finitely many shifts are bad; the schedule is still bounded and
+    raises :class:`PerturbationExhausted` if every candidate fails.  It only
+    picks the shift: :func:`solve_bordered` factors the accepted matrix again.
     """
     scale = max(1.0, abs(lam))
     candidate, eps = float(lam), 0.0
@@ -207,11 +201,11 @@ def ensure_bordered_nonsingular(
         if j >= 0:
             eps = scale * EPS_BASE * EPS_FACTOR**j
             candidate = float(lam + eps)
-        _, _, rcond = _factor(bordered_matrix(candidate, T, x))
-        if rcond >= RCOND_THRESHOLD:
-            return candidate, SolveDiagnostics(rcond=rcond, perturbation=eps)
+        diag = SolveDiagnostics(rcond=bordered_rcond(candidate, T, x), perturbation=eps)
+        if not diag.singular:
+            return candidate, diag
     raise PerturbationExhausted(
         f"no shift perturbation of lam={lam!r} in {EPS_ATTEMPTS} attempts made the "
-        f"bordered matrix nonsingular (last rcond={rcond:.3e})",
-        diagnostics=SolveDiagnostics(rcond=rcond, perturbation=eps),
+        f"bordered matrix nonsingular (last rcond={diag.rcond:.3e})",
+        diagnostics=diag,
     )

@@ -1,13 +1,14 @@
 """Newton and modified Newton iterations for nonnegative Z-eigenpairs.
 
-One loop (``_iterate``) runs all four schemes: it records every iterate as
-a :class:`StepRecord`, the report's trace being the tuple of them, and
-stops on ``||A x^{m-1} - lam x||_1 < tol``, on divergence, after
-``max_iter`` steps or when a step fails.  It alone turns a step's
-:class:`ProjectionEmpty` or :class:`PerturbationExhausted` into the status
-``projection_empty`` or ``perturbation_exhausted``, with the message as the
-reason.  The schemes differ only in the step rule that forms the next
-``(x, lam)``:
+One loop (``_iterate``) runs all four schemes and is the one place a run
+ends: it records every iterate as a :class:`StepRecord`, the trace being
+the tuple of them, and stops on ``||A x^{m-1} - lam x||_1 < tol``, on a
+non-finite or diverging iterate, after ``max_iter`` steps or when a step
+fails, with the last iterate formed as the final one.  It alone turns
+:class:`ProjectionEmpty`, or the :class:`PerturbationExhausted` a scheme
+raises when it gives up, into ``projection_empty`` or
+``perturbation_exhausted``, with the message as the reason.  The schemes
+differ only in the step rule that forms the next ``(x, lam)``:
 
 * ``run_newton``  -- a plain Newton step through the bordered system; no
   projection, no clamping.  Baseline; may leave the nonnegative cone.
@@ -291,22 +292,12 @@ def _contract(A: Tensor, x: np.ndarray) -> tuple:
     return (T * x).sum(axis=1) / (A.m - 1), T
 
 
-class _Stop(Exception):
-    """Raised by a step, or by the shift check before a record, that cannot
-    go on; ``status`` and ``reason`` go into the report."""
-
-    def __init__(self, status: str, reason: str):
-        super().__init__(reason)
-        self.status, self.reason = status, reason
-
-
 def _next_interval(A: Tensor, x: np.ndarray, **fields):
     """The contraction pair (see :func:`_contract`) and record fields, with
-    the ratio interval, of an MNI, PNI or MPNI start or a later MNI/PNI iterate."""
+    the ratio interval, of an MNI, PNI or MPNI start or a later MNI/PNI
+    iterate; a non-finite iterate gets NaN bounds, and the loop ends on it."""
     pair = _contract(A, x)
-    if pair[0] is None:
-        raise _Stop("diverged", "non-finite iterate")
-    lam_low, lam_high = ratio_bounds(pair[0], x)
+    lam_low, lam_high = (np.nan, np.nan) if pair[0] is None else ratio_bounds(pair[0], x)
     return pair, {"lam_low": lam_low, "lam_high": lam_high, **fields}
 
 
@@ -318,12 +309,12 @@ def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport
     residual`` of the current iterate.  ``check(x, lam, T, fields)``, when
     given, runs before an unconverged finite iterate is recorded; it returns
     ``(lam, solved, flag)``, where a flag means the shift moved, or raises
-    :class:`_Stop` (the iterate is still recorded).  ``step(k, x, lam, pair,
-    fields, solved)`` gets that ``solved`` (None without a check) and returns
-    the next ``(x, lam, pair, fields)``, or raises :class:`_Stop`,
-    :class:`ProjectionEmpty` or :class:`PerturbationExhausted` (see the
-    module docstring).  The final iterate of the report is the last one
-    formed.
+    :class:`PerturbationExhausted` (the iterate is still recorded).
+    ``step(k, x, lam, pair, fields, solved)`` gets that ``solved`` (None
+    without a check) and returns the next ``(x, lam, pair, fields)``, or
+    raises :class:`ProjectionEmpty` or :class:`PerturbationExhausted` (see
+    the module docstring).  The final iterate of the report is the last one
+    formed, for every scheme.
     """
     trace = []
     status, reason, solved = "max_iter", None, None
@@ -334,7 +325,7 @@ def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport
         if check is not None and math.isfinite(res) and res >= cfg.tol:
             try:
                 lam, solved, flag = check(x, lam, T, fields)
-            except _Stop as exc:
+            except PerturbationExhausted as exc:
                 stop = exc
             else:
                 if flag:
@@ -345,7 +336,7 @@ def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport
             break
         trace.append(StepRecord(k, x.copy(), lam, res, **fields))
         if stop is not None:
-            status, reason = stop.status, stop.reason
+            status, reason = "perturbation_exhausted", str(stop)
         elif res < cfg.tol:
             status = "converged"
         elif res > DIVERGENCE_BOUND:
@@ -353,8 +344,6 @@ def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport
         elif k < cfg.max_iter:
             try:
                 x, lam, pair, fields = step(k, x, lam, pair, fields, solved)
-            except _Stop as exc:
-                status, reason = exc.status, exc.reason
             except ProjectionEmpty as exc:
                 status, reason = "projection_empty", str(exc)
             except PerturbationExhausted as exc:
@@ -384,9 +373,8 @@ def run_newton(
         try:
             x, lam = newton_step_bordered(A, x, lam, T=T, ax=ax)
         except SingularBordered as exc:
-            raise _Stop(
-                "perturbation_exhausted",
-                f"bordered system singular and plain Newton has no recovery: {exc}",
+            raise PerturbationExhausted(
+                f"bordered system singular and plain Newton has no recovery: {exc}"
             ) from None
         return x, lam, _contract(A, x), {"lam_hat": lam}
 
@@ -429,7 +417,7 @@ def _shift_iterate(method, A, x0, cfg, rescue, update) -> SolveReport:
         shifts, flag, reason = rescue(lam, fields)
         found = _first_nonsingular(shifts, T, x)
         if found is None:
-            raise _Stop("perturbation_exhausted", reason)
+            raise PerturbationExhausted(reason)
         return (*found, flag)
 
     return _iterate(method, cfg, x, fields["lam_high"], pair, fields, update, check)
@@ -476,7 +464,6 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     is reported as a failure.
     """
     cfg = config or SolverConfig(method="pni")
-    beta_steps: list[int] = []
 
     def rescue(lam, fields):
         # Re-damp the last Newton value with the fallback betas (the
@@ -491,22 +478,20 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     def update(k, x, lam, pair, fields, w_hat):
         lam_hat = _newton_value(A.m, lam, w_hat)
         if lam_hat is None:
-            raise _Stop(
-                "perturbation_exhausted",
+            raise PerturbationExhausted(
                 "e^T w = 0: the bordered matrix is singular and the "
-                "unprojected update divides by zero",
+                "unprojected update divides by zero"
             )
         x_tilde = _direction(A.m, x, w_hat)
         flags = ("projection_changed",) if np.any(x_tilde < 0) else ()
         x = proj_simplex(x_tilde)
         pair, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
-        beta = cfg.beta_at(k)
-        if beta > 0:
-            beta_steps.append(k)
-        lam = pni_select_lambda(lam_hat, fields["lam_low"], fields["lam_high"], beta)
+        lam = pni_select_lambda(lam_hat, fields["lam_low"], fields["lam_high"], cfg.beta_at(k))
         return x, lam, pair, fields
 
     report = _shift_iterate("pni", A, x0, cfg, rescue, update)
+    # step k formed iterate k+1, so each of the first `iterations` steps was taken
+    beta_steps = [k for k in range(report.iterations) if cfg.beta_at(k) > 0]
     if beta_steps:
         # Nonzero damping voids the quadratic-convergence argument, so record it.
         report.notes = (f"nonzero beta used after steps {beta_steps}",)

@@ -84,8 +84,8 @@ def _build_plan(m: int, n: int, indices: np.ndarray, values: np.ndarray) -> _Pla
     order = (cells.astype(np.uint16) if n * n <= 1 << 16 else cells).argsort(kind="stable")
     # others[j, p-1] is the j-th position other than p, for p = 1..m-1; an
     # empty tensor has no terms to take positions of, so it builds no rows
-    others = np.array([[q for q in range(1, m) if q != p] for p in range(1, m if nnz else 1)],
-                      dtype=np.intp).T
+    q = np.arange(1, m - 1 if nnz else 1)[:, None]
+    others = q + (q >= np.arange(1, m))
     flats = cols[others[0]] if depth else np.zeros((m - 1, nnz), dtype=dtype)
     for column in others[1:depth]:  # in place, to keep the build's peak memory low
         flats *= n

@@ -185,6 +185,22 @@ def test_empty_tensor_of_high_order_builds_no_position_table():
     assert_same_bits(jacobian_T(A, x), np.zeros((2, 2)))
 
 
+def test_one_entry_of_high_order_peaks_near_its_plan():
+    # the position table of a plan with terms is arithmetic on one arange; as
+    # (m-1) * (m-2) Python ints it peaked at 11 times the plan's own bytes
+    m = 2000
+    tracemalloc.start()
+    try:
+        A = parse_tensor_text(f"{m} 2\n" + " ".join(["1"] * m) + " 1.0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.nnz == 1 and A._plan.rests.shape == (m - 2, m - 1)
+    assert peak < 6 * sum(part.nbytes for part in A._plan[1:])
+    x = np.array([0.25, 0.75])
+    assert_same_bits(jacobian_T(A, x), reference_jacobian(A, x))
+
+
 def test_every_plan_kind_is_covered():
     cases = [case.values for case in PLAN_CASES]
     assert {depth == make().m - 2 for make, depth in cases} == {True, False}

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from zeigen import (
+    DimensionMismatch,
     PerturbationExhausted,
     SingularBordered,
     SingularShift,
@@ -19,6 +20,22 @@ from zeigen import linalg
 from zeigen.linalg import bordered_rcond, shift_rcond
 
 from conftest import gauss_solve
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: solve_shifted(1.0, np.eye(3), np.ones(2)), id="solve_shifted_T"),
+        pytest.param(
+            lambda: solve_bordered(1.0, np.eye(2), np.ones(2), np.ones(3), 0.0),
+            id="solve_bordered_r",
+        ),
+        pytest.param(lambda: bordered_matrix(1.0, np.eye(3), np.ones(2)), id="bordered_matrix_T"),
+    ],
+)
+def test_shape_mismatch_raises(call):
+    with pytest.raises(DimensionMismatch, match="has shape"):
+        call()
 
 
 class TestSolveShifted:

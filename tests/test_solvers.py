@@ -468,6 +468,26 @@ class TestDispatcher:
             assert report.final.x.tobytes() == start.x.tobytes()
             assert (report.final.lam, report.final.residual_norm) == (start.lam, start.residual)
 
+    def test_a_non_finite_iterate_ends_every_method_on_it(self, quartic2, monkeypatch):
+        # the loop's own check ends the run on the iterate the step formed
+        def nans(x_hat):
+            return np.full(x_hat.size, np.nan)
+
+        monkeypatch.setattr("zeigen.solvers.proj_simplex", nans)
+        for method in ("mni", "pni", "mpni"):
+            report = solve(quartic2, [0.2, 0.8], SolverConfig(method=method))
+            assert (report.status, report.failure_reason) == ("diverged", "non-finite iterate")
+            assert report.iterations == 1 and len(report.trace) == 1
+            assert np.isnan(report.final.x).all()
+
+    def test_an_overflowing_start_diverges_without_raising(self):
+        cells = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2))
+        A = build_tensor(3, 2, [(cell, 1.7e308) for cell in cells])
+        for method in ("newton", "mni", "pni", "mpni"):
+            report = solve(A, [0.5, 0.5], SolverConfig(method=method))
+            assert (report.status, report.failure_reason) == ("diverged", "non-finite iterate")
+            assert report.iterations == 0 and report.trace == ()
+
     def test_determinism(self, quartic2):
         a = solve(quartic2, [0.3, 0.7])
         b = solve(quartic2, [0.3, 0.7])

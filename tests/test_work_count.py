@@ -20,11 +20,14 @@ from zeigen.linalg import EPS_ATTEMPTS, EPS_BASE, EPS_FACTOR
 from test_golden_reports import _family
 
 MODULES = ("zeigen", "zeigen.tensor", "zeigen.linalg", "zeigen.solvers", "zeigen.harness")
+# the public linalg functions that may factor a matrix
+ENTRY_POINTS = ("solve_shifted", "solve_bordered", "shift_rcond", "bordered_rcond")
 # counted name -> (defining module, function); _factor is the one place an LU happens
 COUNTED = {
     "apply": ("zeigen.tensor", "apply"),
     "jacobian_T": ("zeigen.tensor", "jacobian_T"),
     "lu": ("zeigen.linalg", "_factor"),
+    **{name: ("zeigen.linalg", name) for name in ENTRY_POINTS},
 }
 START = np.array([0.2, 0.8])
 
@@ -74,12 +77,16 @@ def test_one_contraction_jacobian_and_lu_per_step(quartic2, calls, config, lam0)
     assert calls["lu"] == steps
 
 
-def test_a_perturbed_mpni_step_factors_its_singular_try_and_the_rescue(calls):
-    # a converged MPNI solve of the golden family with perturbed steps
+def _perturbed_mpni_solve():
+    """A converged MPNI solve of the golden family with 14 perturbed steps."""
     tensor, x0, config = next(
         (tensor, x0, config) for label, tensor, x0, config in _family() if label == "71/mpni/100"
     )
-    report = solve(tensor, x0, config)
+    return solve(tensor, x0, config)
+
+
+def test_a_perturbed_mpni_step_factors_its_singular_try_and_the_rescue(calls):
+    report = _perturbed_mpni_solve()
     assert report.converged
     assert any("lambda_perturbed" in rec.flags for rec in report.trace)
     expected = 0
@@ -99,3 +106,11 @@ def test_a_perturbed_mpni_step_factors_its_singular_try_and_the_rescue(calls):
         expected += 4 + j
     assert calls["lu"] == expected
     assert calls["jacobian_T"] == report.iterations + 1
+
+
+def test_every_lu_happens_inside_a_public_linalg_entry_point(calls):
+    # the rescue judges its candidate shifts through bordered_rcond
+    report = _perturbed_mpni_solve()
+    assert sum("lambda_perturbed" in rec.flags for rec in report.trace) == 14
+    assert calls["bordered_rcond"] > 0
+    assert calls["lu"] == sum(calls[name] for name in ENTRY_POINTS)
