@@ -43,8 +43,6 @@ def _json_text(obj, indent: int = 0) -> str:
     digits (non-finite values become null)."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = ",\n".join(
             f'{pad}  "{key}": {_json_text(val, indent + 1)}' for key, val in obj.items()
         )
@@ -54,8 +52,6 @@ def _json_text(obj, indent: int = 0) -> str:
             return "[]"
         body = ", ".join(_json_text(v, indent + 1) for v in obj)
         return "[" + body + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
     if isinstance(obj, (int, np.integer)):

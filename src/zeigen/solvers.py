@@ -7,8 +7,10 @@ non-finite or diverging iterate, after ``max_iter`` steps or when a step
 fails, with the last iterate formed as the final one.  It alone turns
 :class:`ProjectionEmpty`, or the :class:`PerturbationExhausted` a scheme
 raises when it gives up, into ``projection_empty`` or
-``perturbation_exhausted``, with the message as the reason.  The schemes
-differ only in the step rule that forms the next ``(x, lam)``:
+``perturbation_exhausted``, with the message as the reason.  Each scheme
+solves its system, and rescues a (near-)singular shift, inside its step,
+and no step follows a run's last iterate.  The schemes differ only in the
+step rule that forms the next ``(x, lam)``:
 
 * ``run_newton``  -- a plain Newton step through the bordered system; no
   projection, no clamping.  Baseline; may leave the nonnegative cone.
@@ -27,8 +29,9 @@ differ only in the step rule that forms the next ``(x, lam)``:
 MNI, PNI and ``newton_step_closed`` share one closed-form update through
 ``w = (lam I - T(x))^{-1} x``: the Newton value ``(lam - 1 / e^T w) /
 (m-1)`` and the direction ``(m-2) x + w / e^T w``.  MNI and PNI share one
-search that moves a near-singular shift before the iterate is traced.
-MNI, PNI and MPNI start from the contraction and ratio interval that
+step that moves a near-singular shift, and the iterate that step forms
+carries the rescue flag and the shift's offset, as a perturbed MPNI step's
+does.  MNI, PNI and MPNI start from the contraction and ratio interval that
 ``_next_interval`` gives, as every later MNI and PNI iterate does.
 
 Each iterate costs one Jacobian ``T(x)``: the residual and the ratio
@@ -113,8 +116,9 @@ class StepRecord:
     ``lam_hat`` is the unclamped Newton value behind ``lam`` (None at the
     start or when e^T w = 0 forced the fallback branch); the interval
     fields are the componentwise ratio bounds when the scheme computes
-    them; ``perturbation`` is the shift offset applied to escape a singular
-    bordered matrix in the step that produced this iterate.
+    them; ``perturbation`` is the shift offset of a rescue in the step that
+    produced this iterate, MPNI's upward perturbation or MNI's and PNI's
+    move, nonzero exactly when ``flags`` names that rescue.
     """
 
     k: int
@@ -301,49 +305,30 @@ def _next_interval(A: Tensor, x: np.ndarray, **fields):
     return pair, {"lam_low": lam_low, "lam_high": lam_high, **fields}
 
 
-def _iterate(method, cfg, x, lam, pair, fields, step, check=None) -> SolveReport:
+def _iterate(method, cfg, x, lam, pair, fields, step) -> SolveReport:
     """Run one scheme from ``(x, lam)`` with ``pair = (A x^{m-1}, T(x))``
-    (see :func:`_contract`).
-
-    ``fields`` are the :class:`StepRecord` fields besides ``k, x, lam,
-    residual`` of the current iterate.  ``check(x, lam, T, fields)``, when
-    given, runs before an unconverged finite iterate is recorded; it returns
-    ``(lam, solved, flag)``, where a flag means the shift moved, or raises
-    :class:`PerturbationExhausted` (the iterate is still recorded).
-    ``step(k, x, lam, pair, fields, solved)`` gets that ``solved`` (None
-    without a check) and returns the next ``(x, lam, pair, fields)``, or
-    raises :class:`ProjectionEmpty` or :class:`PerturbationExhausted` (see
-    the module docstring).  The final iterate of the report is the last one
-    formed, for every scheme.
+    (see :func:`_contract`) and ``fields``, its other :class:`StepRecord`
+    fields.  ``step(k, x, lam, pair, fields)`` returns the next ``(x, lam,
+    pair, fields)`` or raises :class:`ProjectionEmpty` or
+    :class:`PerturbationExhausted`; none follows the last iterate, so a
+    ``max_iter`` run factors no matrix for it.  The report's final iterate
+    is the last one formed, for every scheme.
     """
     trace = []
-    status, reason, solved = "max_iter", None, None
+    status, reason = "max_iter", None
     for k in range(cfg.max_iter + 1):
-        ax, T = pair
-        res = _residual(ax, x, lam)
-        stop = None
-        if check is not None and math.isfinite(res) and res >= cfg.tol:
-            try:
-                lam, solved, flag = check(x, lam, T, fields)
-            except PerturbationExhausted as exc:
-                stop = exc
-            else:
-                if flag:
-                    res = _residual(ax, x, lam)
-                    fields = {**fields, "flags": fields["flags"] + (flag,)}
+        res = _residual(pair[0], x, lam)
         if not math.isfinite(res):
             status, reason = "diverged", "non-finite iterate"
             break
         trace.append(StepRecord(k, x.copy(), lam, res, **fields))
-        if stop is not None:
-            status, reason = "perturbation_exhausted", str(stop)
-        elif res < cfg.tol:
+        if res < cfg.tol:
             status = "converged"
         elif res > DIVERGENCE_BOUND:
             status, reason = "diverged", f"residual {res:.3e} exceeded divergence bound"
         elif k < cfg.max_iter:
             try:
-                x, lam, pair, fields = step(k, x, lam, pair, fields, solved)
+                x, lam, pair, fields = step(k, x, lam, pair, fields)
             except ProjectionEmpty as exc:
                 status, reason = "projection_empty", str(exc)
             except PerturbationExhausted as exc:
@@ -368,7 +353,7 @@ def run_newton(
     pair = _contract(A, x)
     lam = ratio_bounds(pair[0], x)[1] if lam0 is None else float(lam0)
 
-    def step(k, x, lam, pair, fields, _):
+    def step(k, x, lam, pair, fields):
         ax, T = pair
         try:
             x, lam = newton_step_bordered(A, x, lam, T=T, ax=ax)
@@ -402,25 +387,33 @@ def _bisection(lam, lam_low, lam_high):
 
 
 def _shift_iterate(method, A, x0, cfg, rescue, update) -> SolveReport:
-    """MNI and PNI: start at the upper ratio bound of ``x0 > 0``.  Before
-    each record, solve ``(lam I - T(x)) w = x``; when the shift is
-    (near-)singular, ``rescue(lam, fields)`` gives the shifts to try in its
-    place, the flag to record for the one taken, and the failure reason when
-    none serves.  Each step is ``update(k, x, lam, pair, fields, w)``."""
+    """MNI and PNI: start at the upper ratio bound of ``x0 > 0``.  Each step
+    solves ``(lam I - T(x)) w = x``; when the shift is (near-)singular,
+    ``rescue(lam, fields)`` gives the shifts to try in its place, the flag
+    to record for the one taken, and the failure reason when none serves.
+    The flag and the shift's offset go on the iterate the rescued step
+    forms: ``(x, s)`` itself when ``x`` meets ``tol`` at the shift ``s``,
+    otherwise ``update(k, x, s, pair, fields, w)``."""
     x = _check_start(A, x0, cone="open")
     pair, fields = _next_interval(A, x, lam_hat=None, flags=())
 
-    def check(x, lam, T, fields):
+    def step(k, x, lam, pair, fields):
+        ax, T = pair
         found = _first_nonsingular((lam,), T, x)
         if found is not None:
-            return (*found, None)
+            return update(k, x, lam, pair, fields, found[1])
         shifts, flag, reason = rescue(lam, fields)
         found = _first_nonsingular(shifts, T, x)
         if found is None:
             raise PerturbationExhausted(reason)
-        return (*found, flag)
+        shift, w_hat = found
+        x_next, lam_next = x, shift
+        if _residual(ax, x, shift) >= cfg.tol:
+            x_next, lam_next, pair, fields = update(k, x, shift, pair, fields, w_hat)
+        rescued = {"flags": fields["flags"] + (flag,), "perturbation": shift - lam}
+        return x_next, lam_next, pair, {**fields, **rescued}
 
-    return _iterate(method, cfg, x, fields["lam_high"], pair, fields, update, check)
+    return _iterate(method, cfg, x, fields["lam_high"], pair, fields, step)
 
 
 def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
@@ -509,7 +502,7 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     x = _check_start(A, x0, cone="closed")
     pair, fields = _next_interval(A, x)
 
-    def step(k, x, lam, pair, fields, _):
+    def step(k, x, lam, pair, fields):
         ax, T = pair
         eps = 0.0
         try:

@@ -101,7 +101,7 @@ class TestSolve:
         assert "3" in err  # offending line number
 
     def test_bad_x0_rejected(self, capsys, quartic2_path):
-        for spec in ("0.4,0.4", "0.5,0.2,0.3", "abc"):
+        for spec in ("0.4,0.4", "0.5,0.2,0.3", "abc", "random:abc"):
             code, _, err = run_cli(
                 capsys, "solve", "--tensor", str(quartic2_path), "--x0", spec
             )
@@ -113,6 +113,13 @@ class TestSolve:
         )
         assert code == 1
         assert "positive" in err
+
+    def test_bad_beta_rejected(self, capsys, quartic2_path):
+        code, _, err = run_cli(
+            capsys, "solve", "--tensor", str(quartic2_path), "--method", "pni", "--beta", "a,b"
+        )
+        assert code == 1
+        assert "bad beta spec" in err
 
     def test_boundary_start_follows_the_solver_rule(self, capsys, quartic2_path):
         # mpni accepts a start on the boundary of the cone, mni needs x0 > 0

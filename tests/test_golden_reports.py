@@ -179,6 +179,17 @@ def _kind(old: list, new: list) -> str:
     return "identical" if old == new else "last_bits"
 
 
+def _change(name: str, old, new) -> str:
+    """One differing field as ``name old -> new``; for the flags, how many
+    flagged records differ and the first of them as ``k: old -> new``."""
+    if name != "flags":
+        return f"{name} {old} -> {new}"
+    old, new = (dict(record.split(":", 1) for record in flags) for flags in (old, new))
+    ks = sorted((k for k in old.keys() | new.keys() if old.get(k) != new.get(k)), key=int)
+    first = f"{ks[0]}: {old.get(ks[0], '-')} -> {new.get(ks[0], '-')}"
+    return f"flags {len(ks)} records differ, first {first}"
+
+
 def _print_diff(expected: dict, actual: dict) -> int:
     """A count per kind of difference, then every solve of the first four
     kinds, in family order, with the fields that differ; returns the number
@@ -193,7 +204,7 @@ def _print_diff(expected: dict, actual: dict) -> int:
         for label in kinds[kind]:
             old, new = (dict(zip(FIELDS, e)) for e in (expected[label], actual[label]))
             print(f"{label} {kind} ({old['status']}, {old['iterations']} iterations):",
-                  *(f"{name} {old[name]} -> {new[name]}" for name in FIELDS[:-1]
+                  *(_change(name, old[name], new[name]) for name in FIELDS[:-1]
                     if old[name] != new[name]), sep="\n  ")
     return len(expected) - len(kinds["identical"])
 
@@ -224,6 +235,15 @@ def test_diff_counts_the_solves_that_are_not_identical(capsys):
     out = capsys.readouterr().out
     assert "identical      3" in out and "identical      1" in out
     assert "last_bits      1" in out and "iterations     1" in out
+    # a moved flag reads as a count of records and the first of them
+    flags = FIELDS.index("flags")
+    old, new = list(base), list(base)
+    old[flags] = ["0:lambda_adjusted", "1:projection_changed"]
+    new[flags] = ["1:projection_changed|lambda_adjusted", "2:projection_changed"]
+    assert _print_diff({"0/mni/1": old}, {"0/mni/1": new}) == 1
+    out = capsys.readouterr().out
+    assert "flags          1" in out
+    assert "\n  flags 3 records differ, first 0: lambda_adjusted -> -\n" in out
 
 
 if __name__ == "__main__":

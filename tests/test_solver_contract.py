@@ -6,7 +6,8 @@ for MPNI and for plain Newton from the ratio bound, and sign-mixed entries
 for plain Newton from a given shift.  The status is one of the five
 documented values; the trace holds one record per iterate reached
 (``iterations`` or ``iterations + 1`` of them), record ``k`` at index ``k``
-with a finite, nonnegative residual; and a ``converged`` report
+with a finite, nonnegative residual, and a rescue flag exactly where the
+shift was moved (never on the start); and a ``converged`` report
 certifies its final iterate: residual below ``tol``, unit 1-norm, equal to
 the last trace record, and nonnegative for the methods that keep the
 iterate in the cone.
@@ -22,6 +23,7 @@ from zeigen import SolverConfig, build_tensor, solve
 
 STATUSES = {"converged", "max_iter", "diverged", "perturbation_exhausted", "projection_empty"}
 CONE_METHODS = ("mni", "pni", "mpni")
+RESCUES = {"lambda_adjusted", "beta_escalated", "lambda_perturbed"}
 
 
 @st.composite
@@ -69,6 +71,12 @@ def test_solver_contract(problem):
     assert len(report.trace) in (report.iterations, report.iterations + 1)
     assert [rec.k for rec in report.trace] == list(range(len(report.trace)))
     assert all(0.0 <= rec.residual < math.inf for rec in report.trace)
+    # a rescue moves the shift of the step it serves and flags the iterate
+    # that step forms, so the start carries none
+    assert [bool(RESCUES & set(rec.flags)) for rec in report.trace] == [
+        rec.perturbation != 0.0 for rec in report.trace
+    ]
+    assert not report.trace or not report.trace[0].flags
     if not report.converged:
         return
     final, last = report.final, report.trace[-1]

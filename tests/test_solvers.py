@@ -123,7 +123,7 @@ class TestNewtonSteps:
             A = random_tensor(m, n, float(rng.uniform(0.3, 1.0)), int(rng.integers(1e9)))
             x0 = random_simplex(rng, n)
             trace = run(A, x0, SolverConfig(max_iter=1)).trace
-            if len(trace) < 2 or trace[0].flags or trace[1].lam_hat is None:
+            if len(trace) < 2 or "lambda_adjusted" in trace[1].flags or trace[1].lam_hat is None:
                 continue  # converged at x0, moved its first shift, or e^T w = 0
             xc, lc, _ = newton_step_closed(A, x0, trace[0].lam)
             assert trace[1].lam_hat == lc
@@ -281,7 +281,7 @@ class TestRunMni:
         assert report.converged
         assert report.final.lam == 2.0
         assert_allclose(report.final.x, [0.0, 1.0], atol=0)
-        assert "lambda_adjusted" in report.trace[0].flags
+        assert "lambda_adjusted" in report.trace[1].flags
         assert "zero_denominator_branch" in report.trace[1].flags
         assert "projection_changed" in report.trace[1].flags
 
@@ -298,6 +298,8 @@ class TestRunMni:
             run_mni(quartic2, [1.0, 0.0])
         with pytest.raises(ValueError):
             run_mni(quartic2, [0.4, 0.4])
+        with pytest.raises(ValueError, match="finite"):
+            run_mni(quartic2, [np.nan, 1.0])
 
 
 class TestRunPni:
@@ -322,6 +324,18 @@ class TestRunPni:
         assert report.converged
         assert report.final.lam == pytest.approx(0.7923, abs=5e-5)
         assert any("beta" in note for note in report.notes)
+
+    def test_a_rescued_shift_that_certifies_the_iterate_is_recorded_as_a_step(self):
+        # the configured beta makes the last shift singular; the fallback
+        # beta 0 gives back the Newton value, at which x already meets tol
+        A = build_tensor(2, 2, [((2, 1), 0.25)])
+        report = run_pni(A, [0.5, 0.5], SolverConfig(method="pni", beta_schedule=(0.3,)))
+        assert report.converged and report.iterations == 16
+        assert report.final.lam.hex() == "0x1.686af7d81823cp-22"
+        previous, last = report.trace[-2:]
+        assert last.x.tobytes() == previous.x.tobytes()
+        assert last.flags == ("beta_escalated",)
+        assert last.perturbation == last.lam - previous.lam
 
     def test_zero_denominator_is_reported(self, diag_matrix):
         report = run_pni(diag_matrix, [0.5, 0.5])

@@ -58,6 +58,8 @@ class TestBuildTensor:
             build_tensor(1, 3, [])
         with pytest.raises(ValueError):
             build_tensor(3, 0, [])
+        with pytest.raises(ValueError, match="order >= 2"):
+            Tensor(1, 2, np.zeros((0, 1), dtype=np.int64), np.zeros(0))
 
     def test_random_tensor_checks_order_and_dimension(self):
         with pytest.raises(ValueError, match="order must be >= 2, got 1"):
@@ -323,6 +325,10 @@ class TestRatioBounds:
         with pytest.raises(ZeroVector):
             ratio_bounds([1.0, 2.0], [0.0, 0.0])
 
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            ratio_bounds([1.0, 2.0], [1.0, 2.0, 3.0])
+
     def test_negative_input_rejected(self):
         with pytest.raises(NegativeInput):
             ratio_bounds([-1.0, 2.0], [0.0, 1.0])
@@ -378,6 +384,11 @@ class TestTextFormat:
     def test_empty_file(self):
         with pytest.raises(TensorFormatError):
             parse_tensor_text("# nothing here\n")
+
+    @pytest.mark.parametrize("text", ["3\n", "1 2\n"])
+    def test_bad_header_names_line(self, text):
+        with pytest.raises(TensorFormatError, match="^<string>:1: "):
+            parse_tensor_text(text)
 
     def test_duplicate_entry_names_both_lines(self):
         with pytest.raises(DuplicateIndexTuple, match="line 2"):

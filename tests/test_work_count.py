@@ -1,7 +1,7 @@
 """Work per step: each iterate costs one Jacobian ``jacobian_T``, from
 which the solver takes the contraction (``T(x) x / (m-1)``), and each step
 one LU factorization, except an MPNI step whose shift must be perturbed.
-No solver calls ``apply``.
+No step, and so no LU, follows the last iterate.  No solver calls ``apply``.
 
 The counts come from rebinding the module-level names in every zeigen
 module that holds them (the way ``benchmarks/spans.py`` traces calls), so
@@ -75,6 +75,15 @@ def test_one_contraction_jacobian_and_lu_per_step(quartic2, calls, config, lam0)
     assert calls["jacobian_T"] == steps + 1
     assert calls["apply"] == 0
     assert calls["lu"] == steps
+
+
+@pytest.mark.parametrize("max_iter", [0, 2])
+@pytest.mark.parametrize("method", ["newton", "mni", "pni", "mpni"])
+def test_no_lu_for_the_last_iterate_of_a_max_iter_run(quartic2, calls, method, max_iter):
+    report = solve(quartic2, START, SolverConfig(method=method, max_iter=max_iter))
+    assert report.status == "max_iter" and report.iterations == max_iter
+    assert calls["jacobian_T"] == max_iter + 1
+    assert calls["lu"] == max_iter
 
 
 def _perturbed_mpni_solve():
