@@ -8,8 +8,8 @@ eigenpairs (JSON, CSV with space-separated vectors, text).  ``check``
 prints two text lines.  Floats carry 17 significant digits; JSON ends with
 a timestamp unless ``--no-timestamp`` is given.
 
-Exit codes: 0 success, 1 bad input (parse failure, bad flags), 2 solver
-failure (the report still goes to stdout with the failure status).
+Exit codes: 0 success, 1 bad input (parse failure, bad flags) or too little
+memory, 2 solver failure (the report still goes to stdout with its status).
 """
 
 from __future__ import annotations
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ZeigenError, ValueError, OSError) as exc:
+    except (ZeigenError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -172,8 +172,8 @@ def random_tensor(m: int, n: int, density: float, seed: int) -> Tensor:
 
 
 def fd_check(A: Tensor, x, h: float = 1e-6) -> float:
-    """Max relative column error of the analytic Jacobian against central
-    finite differences of the contraction (step ``h * max(1, |x_j|)``)."""
+    """Max relative column error of ``jacobian_T`` against central differences
+    of ``apply``, which is ``T(x) x / (m-1)`` (step ``h * max(1, |x_j|)``)."""
     x = np.asarray(x, dtype=float)
     T = jacobian_T(A, x)
     worst = 0.0

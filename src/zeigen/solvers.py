@@ -34,9 +34,9 @@ carries the rescue flag and the shift's offset, as a perturbed MPNI step's
 does.  MNI, PNI and MPNI start from the contraction and ratio interval that
 ``_next_interval`` gives, as every later MNI and PNI iterate does.
 
-Each iterate costs one Jacobian ``T(x)``: the residual and the ratio
-interval take the contraction from it by Euler's identity, ``A x^{m-1} =
-T(x) x / (m-1)``, and the next step's shifted or bordered system reuses it.
+Each iterate costs one Jacobian ``T(x)``, which the next step's system
+reuses; the residual and ratio interval take the contraction from it as
+``apply`` does, ``T(x) x / (m-1)``, so ``residual`` reads a report's bits.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import ensure_bordered_nonsingular, solve_bordered, solve_shifted
-from .tensor import Iterate, Tensor, apply, jacobian_T, ratio_bounds
+from .tensor import Iterate, Tensor, _euler, apply, jacobian_T, ratio_bounds
 
 METHODS = ("newton", "mni", "pni", "mpni")
 
@@ -292,8 +292,7 @@ def _contract(A: Tensor, x: np.ndarray) -> tuple:
     if not np.isfinite(x).all():
         return None, None
     T = jacobian_T(A, x)
-    # numpy's own row sums, not matmul: BLAS picks its dgemv kernel by CPU
-    return (T * x).sum(axis=1) / (A.m - 1), T
+    return _euler(T, x, A.m), T
 
 
 def _next_interval(A: Tensor, x: np.ndarray, **fields):
@@ -457,6 +456,7 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     is reported as a failure.
     """
     cfg = config or SolverConfig(method="pni")
+    beta_steps = []  # the steps whose update damped the next shift
 
     def rescue(lam, fields):
         # Re-damp the last Newton value with the fallback betas (the
@@ -480,11 +480,11 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
         x = proj_simplex(x_tilde)
         pair, fields = _next_interval(A, x, lam_hat=lam_hat, flags=flags)
         lam = pni_select_lambda(lam_hat, fields["lam_low"], fields["lam_high"], cfg.beta_at(k))
+        if cfg.beta_at(k) > 0:
+            beta_steps.append(k)
         return x, lam, pair, fields
 
     report = _shift_iterate("pni", A, x0, cfg, rescue, update)
-    # step k formed iterate k+1, so each of the first `iterations` steps was taken
-    beta_steps = [k for k in range(report.iterations) if cfg.beta_at(k) > 0]
     if beta_steps:
         # Nonzero damping voids the quadratic-convergence argument, so record it.
         report.notes = (f"nonzero beta used after steps {beta_steps}",)

@@ -4,30 +4,26 @@ A tensor of order ``m`` and dimension ``n`` is given as ``(index tuple,
 value)`` pairs with 1-based indices; unlisted entries are zero, and
 repeated tuples are summed (scipy's COO convention).
 
-``apply`` is the plain contraction, independent of the Jacobian: one
-gather of ``x`` per variable position, products left to right, times the
-values, then ``np.add.at`` into the first index.  The solvers take the
-contraction from ``T(x) x / (m-1)`` instead.
-
-Only ``jacobian_T`` has an index plan, built once per :class:`Tensor` and
-read-only.  It takes the products of ``x`` from the flat ``d``-fold outer
-power ``x ⊗ ... ⊗ x``, ``d <= m-2`` the largest depth with ``n^d <= nnz``
-(so the table is never larger than the tensor).  Each entry gives one term
-per variable position ``p = 2..m``, for output cell ``i1 * n + ip``; the
-plan holds the ``(m-1) * nnz`` terms stable-sorted by cell, one row per
-occupied cell (never ``n^2`` rows), with each term's table index and value.
-Its index arrays are int32 unless ``n^2`` or ``(m-1) * nnz`` needs int64,
-except the occupied cells, which are numpy's own index type.  The
-Jacobian is one call of scipy's compiled loop ``csr_matvec``, ``y[c] +=
-values[k] * table[index[k]]`` over the terms ``k`` of each occupied cell
-``c`` in turn, and the row sums go into their cells.  Factors the depth
-leaves out are multiplied into the taken table entries per term, and that
-array, indexed by ``k``, is then the table.  The bits are those of one
-gather per position, products left to right and ``np.add.at`` position
-after position: a table entry is the same products in the same order,
-``values[k] * p`` is ``p * values[k]``, and each output cell adds its terms
-from ``+0.0``, position 2 first, then 3 up to ``m``, in input order within
-each position.
+``apply`` takes the contraction from the Jacobian by Euler's identity,
+``T(x) x / (m-1)``, as every solve does.  The Jacobian's index plan is
+built once per :class:`Tensor` and is read-only.  It takes the products of
+``x`` from the flat ``d``-fold outer power ``x ⊗ ... ⊗ x``, ``d <= m-2``
+the largest depth with ``n^d <= nnz`` (so the table is never larger than
+the tensor).  Each entry gives one term per variable position ``p = 2..m``,
+for output cell ``i1 * n + ip``; the plan holds the ``(m-1) * nnz`` terms
+stable-sorted by cell, one row per occupied cell (never ``n^2`` rows),
+with each term's table index and value.  Its index arrays are int32 unless
+``n^2`` or ``(m-1) * nnz`` needs int64, except the occupied cells, which
+are numpy's own index type.  The Jacobian is one call of scipy's compiled
+loop ``csr_matvec``, ``y[c] += values[k] * table[index[k]]`` over the
+terms ``k`` of each occupied cell ``c`` in turn, and the row sums go into
+their cells.  Factors the depth leaves out are multiplied into the taken
+table entries per term, and that array, indexed by ``k``, is then the
+table.  The bits are those of one gather per position, products left to
+right and an unbuffered add into the cells position after position: a
+table entry is the same products in the same order, ``values[k] * p`` is
+``p * values[k]``, and each output cell adds its terms from ``+0.0``,
+position 2 first, then 3 up to ``m``, in input order within each position.
 """
 
 from __future__ import annotations
@@ -131,8 +127,8 @@ class Tensor:
     construction, and is read-only; it holds the ``(m-1) * nnz`` terms, each
     with a table index, a value and, when the table depth falls short of
     ``m-2``, the ``m-2-depth`` x indices of ``rests``, and nothing with ``n^2``
-    entries.  ``==`` and ``hash()`` go by identity.
-    Instances are safe to share across concurrent solves.
+    entries; ``apply`` and ``jacobian_T`` form the n×n ``T(x)`` per call.
+    ``==`` and ``hash()`` go by identity; safe to share across concurrent solves.
     """
 
     m: int
@@ -248,21 +244,18 @@ def _check_vector(A: Tensor, x) -> np.ndarray:
     return x
 
 
+def _euler(T: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """``A x^{m-1}`` from ``T = T(x)`` by Euler's identity, ``T(x) x / (m-1)``."""
+    # numpy's own row sums, not matmul: BLAS picks its dgemv kernel by CPU
+    return (T * x).sum(axis=1) / (m - 1)
+
+
 def apply(A: Tensor, x) -> np.ndarray:
     """Contract the tensor with ``m - 1`` copies of ``x``:
-    ``(A x^{m-1})_i = sum A_{i i2 ... im} x_{i2} ... x_{im}``.
-
-    The plain form, independent of ``jacobian_T``: the products of ``x``
-    left to right, then the value, summed in input order.
-    """
+    ``(A x^{m-1})_i = sum A_{i i2 ... im} x_{i2} ... x_{im}``, taken from the
+    n×n Jacobian as ``T(x) x / (m-1)``: the bits every solve reads."""
     x = _check_vector(A, x)
-    terms = x.take(A.indices[:, 1])
-    for q in range(2, A.m):
-        terms *= x.take(A.indices[:, q])
-    terms *= A.values
-    out = np.zeros(A.n)
-    np.add.at(out, A.indices[:, 0], terms)
-    return out
+    return _euler(_jacobian(A, x), x, A.m)
 
 
 def jacobian_T(A: Tensor, x) -> np.ndarray:
@@ -270,9 +263,13 @@ def jacobian_T(A: Tensor, x) -> np.ndarray:
 
     Each stored entry contributes, for every variable position p in
     {2, ..., m}, the product of the other m-2 variable factors to
-    row i1, column ip.
+    row i1, column ip.  :func:`apply` takes the contraction from it.
     """
-    x = _check_vector(A, x)
+    return _jacobian(A, _check_vector(A, x))
+
+
+def _jacobian(A: Tensor, x: np.ndarray) -> np.ndarray:
+    """``T(x)`` of a checked ``x``, from the plan (see the module docstring)."""
     out = np.zeros(A.n * A.n)
     if A.nnz:
         plan = A._plan

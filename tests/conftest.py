@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths: dense
-contraction straight from the definition, Gaussian elimination with
+contraction straight from the definition, the same contraction as a
+gather per stored entry and a scatter, Gaussian elimination with
 partial pivoting written out by hand, and root bisection for the known
 two-dimensional quartic tensor.
 """
@@ -75,6 +76,18 @@ def dense_apply(m: int, n: int, entries, x) -> np.ndarray:
         for j in idx[1:]:
             prod *= x[j]
         out[idx[0]] += A[idx] * prod
+    return out
+
+
+def reference_apply(A, x: np.ndarray) -> np.ndarray:
+    """The contraction of a :class:`zeigen.Tensor` from its stored entries:
+    one 2-D gather of ``x``, ``np.prod`` along each row, times the values,
+    then ``np.add.at`` into the first index."""
+    out = np.zeros(A.n)
+    if A.nnz == 0:
+        return out
+    contrib = A.values * np.prod(x[A.indices[:, 1:]], axis=1)
+    np.add.at(out, A.indices[:, 0], contrib)
     return out
 
 

@@ -1,13 +1,18 @@
 """Tests for the command-line interface: solve, sweep, check, formats,
 and exit codes."""
 
+import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zeigen.tensor
 from zeigen import SolverConfig
 from zeigen.cli import _config, build_parser, main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -200,11 +205,18 @@ class TestSweep:
 
 
 class TestCheck:
-    def test_valid_tensor(self, capsys, quartic2_path):
+    def test_valid_tensor(self, capsys, quartic2_path, cubic3_path):
         code, out, _ = run_cli(capsys, "check", str(quartic2_path))
         assert code == 0
         assert "m=4 n=2 nnz=4" in out
         assert "ratio bounds" in out
+        # the bounds are the interval an MPNI solve from the uniform vector starts at
+        for path, name in ((quartic2_path, "quartic2"), (cubic3_path, "cubic3")):
+            _, out, _ = run_cli(capsys, "check", str(path))
+            with open(GOLDEN_DIR / f"solve_mpni_{name}.csv", newline="") as fh:
+                start = next(csv.DictReader(fh))
+            bounds = f"[{start['lambda_low']}, {start['lambda_high']}]"
+            assert out.splitlines()[1] == f"ratio bounds at uniform x: {bounds}"
 
     def test_negative_value(self, capsys, tmp_path):
         bad = tmp_path / "neg.tns"
@@ -218,6 +230,20 @@ class TestCheck:
         bad.write_text("")
         code, _, err = run_cli(capsys, "check", str(bad))
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "command", (["check"], ["solve", "--tensor"], ["sweep", "--starts", "2", "--tensor"])
+)
+def test_out_of_memory_is_an_error_not_a_traceback(capsys, monkeypatch, quartic2_path, command):
+    # a T(x) too large to allocate, as for n = 46341, without allocating it
+    def no_memory(A, x):
+        raise MemoryError("Unable to allocate 16.0 GiB for an array with shape (2147488281,)")
+
+    monkeypatch.setattr(zeigen.tensor, "_jacobian", no_memory)
+    code, _, err = run_cli(capsys, *command, str(quartic2_path))
+    assert code == 1
+    assert err == "error: Unable to allocate 16.0 GiB for an array with shape (2147488281,)\n"
 
 
 class TestNumberFormatting:

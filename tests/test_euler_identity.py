@@ -1,6 +1,8 @@
-"""Euler's identity ``A x^{m-1} = T(x) x / (m-1)``, which the solvers use to
-take the contraction from the Jacobian, holds for every tensor, symmetric
-or not, and every ``x``: the contraction is homogeneous of degree ``m-1``.
+"""Euler's identity ``A x^{m-1} = T(x) x / (m-1)``, which the library uses to
+take its one contraction from the Jacobian, holds for every tensor,
+symmetric or not, and every ``x``: the contraction is homogeneous of degree
+``m-1``.  The check is against the tests' own gather, ``reference_apply``
+in ``tests/conftest.py``.
 
 The two sides round differently.  Each is within the standard bound for
 sums of products of the exact value, ``gamma_N ~ N u`` (``u = eps / 2``)
@@ -15,8 +17,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zeigen import apply, build_tensor
+from zeigen import build_tensor
 from zeigen.solvers import _contract
+
+from conftest import reference_apply
 
 EPS = np.finfo(float).eps
 
@@ -47,5 +51,5 @@ def test_contraction_from_the_jacobian(case):
     # per component: m-1 products per term, the sums of T's entries and of
     # T x over at most (m-1) * nnz + n terms, one product and one division
     steps = m + (m - 1) * A.nnz + n
-    bound = 2 * steps * EPS * apply(A, np.abs(x))
-    assert np.all(np.abs(euler - apply(A, x)) <= bound)
+    bound = 2 * steps * EPS * reference_apply(A, np.abs(x))
+    assert np.all(np.abs(euler - reference_apply(A, x)) <= bound)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zeigen import SolverConfig, build_tensor, solve
+from zeigen import SolverConfig, build_tensor, residual, solve
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "reports.json"
 METHODS = ("newton", "mni", "pni", "mpni")
@@ -144,6 +144,21 @@ def test_golden_family_keeps_its_coverage():
     for flag in ("lambda_adjusted", "beta_escalated", "lambda_perturbed", "projection_changed"):
         assert flags[flag] > 0, flag
     assert {label.split("/")[2] for label in expected} == {str(v) for v in MAX_ITERS}
+
+
+def test_residual_reads_every_converged_report_bit_for_bit():
+    """``residual`` takes the contraction a solve takes, ``T(x) x / (m-1)``,
+    so at a converged report's final pair it gives the report's residual."""
+    converged, differ = 0, []
+    for label, tensor, x0, config in _family():
+        report = solve(tensor, x0, config)
+        if report.converged:
+            converged += 1
+            final = report.final
+            if residual(tensor, final.x, final.lam).hex() != final.residual_norm.hex():
+                differ.append(label)
+    assert converged > 0
+    assert not differ, f"{len(differ)} of {converged} differ, first: {differ[:5]}"
 
 
 # Kinds of difference, gravest first; a solve counts under the first that

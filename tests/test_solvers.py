@@ -332,6 +332,8 @@ class TestRunPni:
         report = run_pni(A, [0.5, 0.5], SolverConfig(method="pni", beta_schedule=(0.3,)))
         assert report.converged and report.iterations == 16
         assert report.final.lam.hex() == "0x1.686af7d81823cp-22"
+        # the last step's update never ran, so no beta damped a shift there
+        assert report.notes == (f"nonzero beta used after steps {list(range(15))}",)
         previous, last = report.trace[-2:]
         assert last.x.tobytes() == previous.x.tobytes()
         assert last.flags == ("beta_escalated",)
