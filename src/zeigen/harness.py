@@ -172,18 +172,24 @@ def random_tensor(m: int, n: int, density: float, seed: int) -> Tensor:
 
 
 def fd_check(A: Tensor, x, h: float = 1e-6) -> float:
-    """Max relative column error of ``jacobian_T`` against central differences
-    of ``apply``, which is ``T(x) x / (m-1)`` (step ``h * max(1, |x_j|)``)."""
+    """Max relative error of ``jacobian_T`` and ``apply`` against the
+    contraction summed from the stored entries: per column of ``T(x)``, its
+    central differences (step ``h * max(1, |x_j|)``), and ``apply`` at ``x``."""
     x = np.asarray(x, dtype=float)
-    T = jacobian_T(A, x)
-    worst = 0.0
+    rows, cols = A.indices[:, 0], A.indices[:, 1:]
+
+    def contract(y):
+        return np.bincount(rows, A.values * np.prod(y[cols], axis=1), A.n)
+
+    T, ax = jacobian_T(A, x), contract(x)  # jacobian_T checks x
+    worst = float(np.linalg.norm(apply(A, x) - ax, 1) / max(1.0, np.linalg.norm(ax, 1)))
     for j in range(A.n):
         hj = h * max(1.0, abs(x[j]))
         xp = x.copy()
         xp[j] += hj
         xm = x.copy()
         xm[j] -= hj
-        column = (apply(A, xp) - apply(A, xm)) / (2.0 * hj)
+        column = (contract(xp) - contract(xm)) / (2.0 * hj)
         err = np.linalg.norm(column - T[:, j], 1) / max(1.0, np.linalg.norm(T[:, j], 1))
         worst = max(worst, float(err))
     return worst

@@ -10,20 +10,18 @@ built once per :class:`Tensor` and is read-only.  It takes the products of
 ``x`` from the flat ``d``-fold outer power ``x ⊗ ... ⊗ x``, ``d <= m-2``
 the largest depth with ``n^d <= nnz`` (so the table is never larger than
 the tensor).  Each entry gives one term per variable position ``p = 2..m``,
-for output cell ``i1 * n + ip``; the plan holds the ``(m-1) * nnz`` terms
-stable-sorted by cell, one row per occupied cell (never ``n^2`` rows),
-with each term's table index and value.  Its index arrays are int32 unless
-``n^2`` or ``(m-1) * nnz`` needs int64, except the occupied cells, which
-are numpy's own index type.  The Jacobian is one call of scipy's compiled
-loop ``csr_matvec``, ``y[c] += values[k] * table[index[k]]`` over the
-terms ``k`` of each occupied cell ``c`` in turn, and the row sums go into
-their cells.  Factors the depth leaves out are multiplied into the taken
-table entries per term, and that array, indexed by ``k``, is then the
-table.  The bits are those of one gather per position, products left to
-right and an unbuffered add into the cells position after position: a
-table entry is the same products in the same order, ``values[k] * p`` is
-``p * values[k]``, and each output cell adds its terms from ``+0.0``,
-position 2 first, then 3 up to ``m``, in input order within each position.
+for output cell ``i1 * n + ip``.  The plan is CSR in int32 with one row per
+cell of the n×n ``T(x)``: the ``(m-1) * nnz`` terms stable-sorted by cell,
+each with its table index and value.  The Jacobian is one call of scipy's
+compiled loop ``csr_matvec``, ``T[c] += values[k] * table[index[k]]`` over
+the terms ``k`` of each cell ``c`` in turn, straight into ``T(x)``.
+Factors the depth leaves out are multiplied into the taken table entries
+per term, and that array, indexed by ``k``, is then the table.  The bits
+are those of one gather per position, products left to right and an
+unbuffered add into the cells position after position: a table entry is
+the same products in the same order, ``values[k] * p`` is ``p *
+values[k]``, and each cell adds its terms, if any, from ``+0.0``, position
+2 first, then 3 up to ``m``, in input order within each position.
 """
 
 from __future__ import annotations
@@ -56,21 +54,19 @@ _ONE.setflags(write=False)
 
 
 class _Plan(NamedTuple):
-    """Read-only index arrays of one tensor for ``jacobian_T``; the terms are
-    ordered cell by cell, and within a cell by position, then input order."""
+    """Read-only CSR arrays of ``jacobian_T``, one row per cell of ``T(x)``; the
+    terms are ordered cell by cell, and within a cell by position, then input order."""
 
     depth: int  # the table is the depth-fold outer power of x
-    cells: np.ndarray  # (occupied,): the cells i1 * n + ip that have terms, ascending, intp
-    indptr: np.ndarray  # (occupied + 1,): the terms of cells[c] are indptr[c]:indptr[c+1]
+    indptr: np.ndarray  # (n^2 + 1,): the terms of cell c = i1 * n + ip are indptr[c]:indptr[c+1]
     flats: np.ndarray  # (terms,): the table index, of the other positions' indices
     values: np.ndarray  # (terms,): the entry's value
     rests: np.ndarray  # (m-2-depth, terms): x indices of the factors the table leaves out
 
 
 def _build_plan(m: int, n: int, indices: np.ndarray, values: np.ndarray) -> _Plan:
-    """The plan of checked ``indices``, of the kernels' index type, and their
-    ``values``."""
-    nnz, dtype = len(indices), indices.dtype
+    """The plan of checked int32 ``indices`` and their ``values``."""
+    nnz = len(indices)
     depth = 0  # the largest d <= m-2 with n^d <= nnz
     while depth < m - 2 and n ** (depth + 1) <= nnz:
         depth += 1
@@ -78,25 +74,21 @@ def _build_plan(m: int, n: int, indices: np.ndarray, values: np.ndarray) -> _Pla
     cells = (cols[0] * n + cols[1:]).ravel()  # position 2's terms, then 3's, ...
     # a stable sort; numpy's radix sort on 16-bit keys takes linear time
     order = (cells.astype(np.uint16) if n * n <= 1 << 16 else cells).argsort(kind="stable")
+    indptr = np.zeros(n * n + 1, dtype=np.int32)
+    indptr[1:] = np.bincount(cells, minlength=n * n).cumsum()
+    del cells  # the plan below reuses its memory
     # others[j, p-1] is the j-th position other than p, for p = 1..m-1; an
     # empty tensor has no terms to take positions of, so it builds no rows
     q = np.arange(1, m - 1 if nnz else 1)[:, None]
     others = q + (q >= np.arange(1, m))
-    flats = cols[others[0]] if depth else np.zeros((m - 1, nnz), dtype=dtype)
+    flats = cols[others[0]] if depth else np.zeros((m - 1, nnz), dtype=np.int32)
     for column in others[1:depth]:  # in place, to keep the build's peak memory low
         flats *= n
         flats += cols[column]
     flats = flats.ravel().take(order)
-    rests = cols[others[depth:]].reshape(m - 2 - depth, cells.size)[:, order]
-    cells = cells.take(order)
-    edges = np.ones(cells.size + 1, dtype=bool)  # a cell's first term, and the end
-    np.not_equal(cells[1:], cells[:-1], out=edges[1:-1])
-    indptr = edges.nonzero()[0].astype(dtype)
-    # the occupied cells (the terms' cells go), as numpy's own index type:
-    # jacobian_T scatters through them, and any other type is cast per call
-    cells = cells.take(indptr[:-1]).astype(np.promote_types(dtype, np.intp))
+    rests = cols[others[depth:]].reshape(m - 2 - depth, order.size)[:, order]
     values = values.take(np.remainder(order, max(nnz, 1), out=order))  # each term's entry
-    plan = _Plan(depth, cells, indptr, flats, values, rests)
+    plan = _Plan(depth, indptr, flats, values, rests)
     for part in plan[1:]:
         part.setflags(write=False)
     return plan
@@ -115,8 +107,8 @@ class Tensor:
     """Immutable nonnegative tensor of order ``m`` and dimension ``n``.
 
     ``indices`` has shape (nnz, m) with 0-based integer entries in
-    ``[0, n)``; the tensor keeps a read-only column-major copy in the
-    kernels' index type (int32 unless ``n^2`` or ``(m-1) * nnz`` needs int64).
+    ``[0, n)``; the tensor keeps a read-only column-major int32 copy, and
+    raises ``ValueError`` when ``n^2`` or ``(m-1) * nnz`` passes int32.
     ``values`` has shape (nnz,), finite and nonnegative; the tensor keeps a
     read-only float copy, so no later write to the caller's arrays reaches
     the checked tensor.  The constructor checks these, since the compiled
@@ -126,8 +118,8 @@ class Tensor:
     Jacobian's index plan (see the module docstring) is derived once, at
     construction, and is read-only; it holds the ``(m-1) * nnz`` terms, each
     with a table index, a value and, when the table depth falls short of
-    ``m-2``, the ``m-2-depth`` x indices of ``rests``, and nothing with ``n^2``
-    entries; ``apply`` and ``jacobian_T`` form the n×n ``T(x)`` per call.
+    ``m-2``, the ``m-2-depth`` x indices of ``rests``, and ``n^2 + 1`` row
+    pointers; ``apply`` and ``jacobian_T`` form the n×n ``T(x)`` per call.
     ``==`` and ``hash()`` go by identity; safe to share across concurrent solves.
     """
 
@@ -151,15 +143,19 @@ class Tensor:
                 f"expected indices of shape (nnz, {self.m}) and values of shape (nnz,), "
                 f"got {indices.shape} and {values.shape}"
             )
+        # cells i1 * n + ip of T(x), table indices, term numbers and the
+        # plan's indptr all stay within max(n^2, (m-1) * nnz)
+        limit = np.iinfo(np.int32).max
+        if max(self.n * self.n, (self.m - 1) * values.size) > limit:
+            raise ValueError(
+                f"need n^2 and (m-1) * nnz at most {limit} (int32 indices), "
+                f"got m={self.m} n={self.n} nnz={values.size}"
+            )
         if values.size and not (indices.min() >= 0 and indices.max() < self.n):
             raise IndexOutOfRange(f"indices must lie in [0, {self.n - 1}]")
         if values.size and not (values.min() >= 0 and values.max() < np.inf):  # NaN fails too
             raise NegativeEntry("values must be finite and nonnegative")
-        # cells i1 * n + ip of T(x), table indices, term numbers and the
-        # plan's indptr all stay within max(n^2, (m-1) * nnz)
-        bound = max(self.n * self.n, (self.m - 1) * values.size)
-        dtype = np.int32 if bound <= np.iinfo(np.int32).max else np.int64
-        indices = np.array(indices, dtype=dtype, order="F")
+        indices = np.array(indices, dtype=np.int32, order="F")
         indices.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "indices", indices)
@@ -270,21 +266,15 @@ def jacobian_T(A: Tensor, x) -> np.ndarray:
 
 def _jacobian(A: Tensor, x: np.ndarray) -> np.ndarray:
     """``T(x)`` of a checked ``x``, from the plan (see the module docstring)."""
-    out = np.zeros(A.n * A.n)
-    if A.nnz:
-        plan = A._plan
-        table, index = _power_table(x, plan.depth), plan.flats
-        if len(plan.rests):  # one product per term, then indexed by the term itself
-            table = table.take(index)
-            for rest in plan.rests:
-                table *= x.take(rest)
-            index = np.arange(table.size, dtype=index.dtype)
-        # with every cell occupied, cells is 0, 1, ..., n^2 - 1
-        sums = out if plan.cells.size == out.size else np.zeros(plan.cells.size)
-        # sums[c] += values[k] * table[index[k]] over the terms k of cell c
-        csr_matvec(sums.size, table.size, plan.indptr, index, plan.values, table, sums)
-        if sums is not out:
-            out[plan.cells] = sums
+    plan, out = A._plan, np.zeros(A.n * A.n)
+    table, index = _power_table(x, plan.depth), plan.flats
+    if len(plan.rests):  # one product per term, then indexed by the term itself
+        table = table.take(index)
+        for rest in plan.rests:
+            table *= x.take(rest)
+        index = np.arange(table.size, dtype=index.dtype)
+    # out[c] += values[k] * table[index[k]] over the terms k of cell c
+    csr_matvec(out.size, table.size, plan.indptr, index, plan.values, table, out)
     return out.reshape(A.n, A.n)
 
 

@@ -231,12 +231,20 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(bad))
         assert code == 1
 
+    def test_jacobian_past_int32_cells(self, capsys, tmp_path):
+        big = tmp_path / "big.tns"
+        big.write_text("2 46341\n")
+        code, out, err = run_cli(capsys, "check", str(big))
+        assert code == 1 and out == ""
+        assert err.startswith("error: need n^2 and (m-1) * nnz at most 2147483647")
+        assert "Traceback" not in err and err.count("\n") == 1
+
 
 @pytest.mark.parametrize(
     "command", (["check"], ["solve", "--tensor"], ["sweep", "--starts", "2", "--tensor"])
 )
 def test_out_of_memory_is_an_error_not_a_traceback(capsys, monkeypatch, quartic2_path, command):
-    # a T(x) too large to allocate, as for n = 46341, without allocating it
+    # a T(x) too large to allocate (n = 46340 would need 16 GiB), without allocating it
     def no_memory(A, x):
         raise MemoryError("Unable to allocate 16.0 GiB for an array with shape (2147488281,)")
 

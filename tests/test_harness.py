@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import zeigen.tensor
 from zeigen import (
     Eigenpair,
     InsufficientData,
@@ -203,6 +204,14 @@ class TestFdCheck:
         # dyadic entries, points, and step keep the differences exact
         A = build_tensor(2, 3, [((1, 2), 0.5), ((2, 1), 1.5), ((3, 3), 2.0)])
         assert fd_check(A, [0.25, 0.5, 0.25], h=2.0**-20) <= 1e-12
+
+    def test_a_jacobian_off_by_a_factor_fails(self, monkeypatch):
+        # apply is T(x) x / (m-1) from the same kernel, so only differences
+        # of a contraction that does not go through T(x) can see this
+        jacobian = zeigen.tensor._jacobian
+        monkeypatch.setattr(zeigen.tensor, "_jacobian", lambda A, x: 2.0 * jacobian(A, x))
+        x = np.random.default_rng(3).standard_exponential(5)
+        assert fd_check(random_tensor(4, 5, 0.5, 3), x) > 1e-6
 
     def test_random_instances(self):
         rng = np.random.default_rng(53)

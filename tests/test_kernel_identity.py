@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import zeigen.tensor
 from zeigen import Tensor, apply, build_tensor, jacobian_T, parse_tensor_text, random_tensor
-from zeigen.tensor import _build_plan
 
 from conftest import reference_apply
 
@@ -94,9 +93,10 @@ def mixed_vector(n: int, seed: int) -> np.ndarray:
 # does, each with the table depth of jacobian_T it must have.  A depth
 # short of m-2 leaves columns multiplied in per term; a full depth folds
 # every factor into the table.  The ids name the largest output cell each
-# reaches: past uint8, past uint16, and n = 1; sweep-sparse-shape is the
-# shape of the sparse benchmark sweep.  apply reads the same Jacobian, and
-# runs on every case too.
+# reaches: past uint8, past uint16 (the sort takes the full cells, and most
+# rows of its plan are empty), and n = 1; sweep-sparse-shape is the shape of
+# the sparse benchmark sweep.  apply reads the same Jacobian, and runs on
+# every case too.
 PLAN_CASES = [
     pytest.param(lambda: random_tensor(4, 20, 0.3, 7), 2, id="uint16"),
     pytest.param(lambda: random_tensor(6, 12, 0.001, 7), 3, id="leftover-columns"),
@@ -115,7 +115,7 @@ def test_kernels_match_reference_bits_on_every_plan_kind(make, depth):
     assert plan.rests.shape == (A.m - 2 - depth, (A.m - 1) * A.nnz)
     for part in (A.indices, plan.indptr, plan.flats, plan.rests):
         assert part.dtype == np.int32
-    assert plan.cells.dtype == np.intp and plan.values.dtype == np.float64
+    assert plan.values.dtype == np.float64
     row_major = Tensor(A.m, A.n, np.ascontiguousarray(A.indices), A.values)
     for x in (mixed_vector(A.n, 0), -np.abs(mixed_vector(A.n, 1)) - 0.5):
         for B in (A, row_major):
@@ -134,37 +134,33 @@ def test_one_compiled_call_per_jacobian(monkeypatch, make, depth):
 
     monkeypatch.setattr(zeigen.tensor, "csr_matvec", counting)
     jacobian_T(A, mixed_vector(A.n, 3))
-    # one row per occupied cell of T(x), never one per cell
-    assert rows == [A._plan.cells.size]
-    assert A._plan.cells.size <= min(A.n * A.n, (A.m - 1) * A.nnz)
+    # one row per cell of T(x), occupied or not
+    assert rows == [A.n * A.n]
 
 
-@pytest.mark.parametrize("make, depth", PLAN_CASES)
-def test_int64_plan_gives_the_same_jacobian_bits(make, depth):
-    # a tensor whose plan needs int64 has a T(x) too large to form here, so
-    # the int64 loop runs on a plan built from int64 copies of the indices
-    A = make()
-    object.__setattr__(A, "_plan", _build_plan(A.m, A.n, A.indices.astype(np.int64), A.values))
-    assert A._plan.indptr.dtype == A._plan.flats.dtype == np.int64
-    x = mixed_vector(A.n, 4)
-    assert_same_bits(jacobian_T(A, x), reference_jacobian(A, x))
-
-
-def test_int64_plan_when_the_jacobian_cells_pass_int32():
-    n = 46341  # n * n > 2**31 - 1; T(x) itself would take 17 GB
-    entries = [((n, n), 2.0), ((1, n), 3.0), ((n, 1), 0.5)]
+def traced_peak(build) -> int:
+    """Peak bytes tracemalloc sees while ``build()`` raises ``ValueError``."""
     tracemalloc.start()
     try:
-        A = build_tensor(2, n, entries)
-        peak = tracemalloc.get_traced_memory()[1]
+        with pytest.raises(ValueError, match="int32"):
+            build()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # nothing with n or n^2 entries
-    plan = A._plan
-    assert A.indices.dtype == plan.cells.dtype == plan.indptr.dtype == np.int64
-    # per term an int64 table index, a value, at most one cell and indptr
-    # entry, and indptr's closing entry: O(nnz), with no row per cell
-    assert sum(part.nbytes for part in plan[1:]) <= 40 * (A.m - 1) * A.nnz
+
+
+def test_a_jacobian_past_int32_cells_is_refused_before_any_allocation():
+    n = 46341  # n * n > 2**31 - 1; its plan's indptr alone would take 8.6 GB
+    assert traced_peak(lambda: build_tensor(2, n, [((n, n), 2.0)])) < 1 << 20
+
+
+def test_a_plan_past_int32_terms_is_refused_before_any_allocation():
+    # (m-1) * nnz = 2**31 terms; the indices are one broadcast zero, so the
+    # only arrays are the 256 KiB of values and their copy
+    m, nnz = 2**16 + 1, 2**15
+    indices = np.broadcast_to(np.zeros(1, dtype=np.int32), (nnz, m))
+    values = np.zeros(nnz)
+    assert traced_peak(lambda: Tensor(m, 1, indices, values)) < 1 << 20
 
 
 def test_empty_tensor_of_high_order_builds_no_position_table():
@@ -207,18 +203,17 @@ def test_every_plan_kind_is_covered():
 def test_plan_is_compact_and_read_only_on_family_shapes():
     # family-sized tensors are many and small: per term of jacobian_T, m-1
     # per stored entry, the plan holds an int32 table index and a float
-    # value, and an int32 x index per factor the table leaves out; per
-    # occupied cell of T(x) an intp cell and an int32 indptr entry; and
-    # indptr's closing entry
+    # value, and an int32 x index per factor the table leaves out; per cell
+    # of T(x) an int32 indptr entry; and indptr's closing entry
     for m in range(2, 6):
         for n in range(1, 7):
             for density in (0.05, 0.3, 1.0):
                 A = random_tensor(m, n, density, m * n)
                 plan = A._plan
-                bound = 12 * (m - 1) * A.nnz + 4 * plan.rests.size + 12 * plan.cells.size + 4
+                bound = 12 * (m - 1) * A.nnz + 4 * plan.rests.size + 4 * (n * n + 1)
                 assert sum(part.nbytes for part in plan[1:]) <= bound, (m, n, density)
                 for part in (A.indices, plan.indptr, plan.flats, plan.rests):
                     assert part.dtype == np.int32
-                assert plan.cells.dtype == np.intp and plan.values.dtype == np.float64
+                assert plan.values.dtype == np.float64
                 for part in plan[1:] + (A.indices,):
                     assert not part.flags.writeable
