@@ -3,15 +3,19 @@
 Both systems are solved by LU with partial pivoting; near-singularity is
 detected with the LAPACK 1-norm reciprocal-condition estimator.  Matrices
 here are small (the solvers target n up to a few dozen), so dense
-factorizations are the simplest correct choice.  Each matrix is filled
-into one fresh array, with the bits of ``lam * np.eye(n) - T``, and its
-1-norm for the estimator is ``np.linalg.norm(M, 1)``'s own formula, the
-largest column sum of ``|M|``.  ``SolveDiagnostics.singular`` is the one
-judge of singularity, and every LU happens inside ``solve_shifted``,
-``solve_bordered``, ``shift_rcond`` or ``bordered_rcond``; a solve factors
-its matrix once, for both the judgement and the solve.
+factorizations are the simplest correct choice, and a call costs more than
+its flops.  Each matrix is filled into one fresh array, with the bits of
+``lam * np.eye(n) - T``.  Its 1-norm for the estimator is ``dlange``'s
+largest row sum of ``|M.T|``, the largest column sum of ``|M|``, summed in
+the order and to the bits of ``np.abs(M).sum(axis=0).max()`` (a NaN norm
+up to its payload; it makes the rcond 0 either way).
+``SolveDiagnostics.singular`` is the one judge of singularity, and every LU
+happens inside ``solve_shifted``, ``solve_bordered``, ``shift_rcond`` or
+``bordered_rcond``.  A solve factors and solves in one ``dgesv`` call, with
+the bits of ``dgetrf`` then ``dgetrs``, and ``dgecon`` judges the same LU;
+an rcond alone takes ``dgetrf`` and ``dgecon``.
 
-``dgetrf``, ``dgecon`` and ``dgetrs`` come from scipy's LAPACK extension
+``dgesv``, ``dgetrf``, ``dgecon`` and ``dlange`` come from scipy's LAPACK extension
 ``scipy/linalg/_flapack*``, and the Jacobian kernel's ``csr_matvec`` from
 ``scipy/sparse/_sparsetools*``.  Both are loaded from their files: the
 ``scipy.linalg`` and ``scipy.sparse`` package inits are most of a
@@ -23,6 +27,7 @@ cannot be found or loaded.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -107,45 +112,46 @@ def bordered_matrix(lam: float, T: np.ndarray, x: np.ndarray) -> np.ndarray:
     return M
 
 
-def _factor(M: np.ndarray):
-    """LU-factor M and estimate its 1-norm reciprocal condition number."""
-    # np.linalg.norm(M, 1)'s own formula: the largest column sum of |M|
-    anorm = float(np.abs(M).sum(axis=0).max()) if M.size else 0.0
-    lu, piv, info = lapack.dgetrf(M)
+def _factor(M: np.ndarray, b: np.ndarray | None = None):
+    """LU-factor ``M`` and estimate its 1-norm reciprocal condition number;
+    given ``b``, solve ``M y = b`` in the same ``dgesv`` call: ``(y, rcond)``,
+    with ``y`` None without ``b``.  :func:`_solve` drops ``y`` when
+    ``rcond`` judges ``M`` singular."""
+    # M.T is M's F-ordered view, no copy: its largest row sum of magnitudes is
+    # M's largest column sum, added up in np.abs(M).sum(axis=0).max()'s order
+    anorm = lapack.dlange("I", M.T)
+    if b is None:
+        lu, _, info = lapack.dgetrf(M)
+        sol = None
+    else:
+        lu, _, sol, info = lapack.dgesv(M, b)
     if info > 0 or anorm == 0.0:
-        return lu, piv, 0.0
+        return sol, 0.0
     rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-    rcond = float(rcond)
-    if not np.isfinite(rcond):
-        rcond = 0.0
-    return lu, piv, rcond
+    return sol, rcond if math.isfinite(rcond) else 0.0
 
 
 def _solve(M: np.ndarray, b: np.ndarray, error, what: str, lam: float):
     """Factor ``M``, judge it with :attr:`SolveDiagnostics.singular` and solve
-    ``M y = b``: ``(y, diag)``.  ``error`` names ``what.format(lam)``, formatted on a raise only."""
-    lu, piv, rcond = _factor(M)
+    ``M y = b``, in one :func:`_factor` call: ``(y, diag)``.  ``error`` names
+    ``what.format(lam)``, formatted on a raise only."""
+    sol, rcond = _factor(M, b)
     diag = SolveDiagnostics(rcond=rcond)
     if diag.singular:
         what = what.format(lam)
         raise error(f"{what} is singular or nearly singular (rcond={rcond:.3e})", diagnostics=diag)
-    sol, info = lapack.dgetrs(lu, piv, b)
-    if info != 0:
-        raise RuntimeError(f"dgetrs failed with info={info}")
-    return np.asarray(sol, dtype=float), diag
+    return sol, diag
 
 
 def shift_rcond(lam: float, T: np.ndarray) -> float:
     """Reciprocal condition estimate of lam*I - T."""
     T = np.asarray(T, dtype=float)
-    _, _, rcond = _factor(_shifted(lam, T, T.shape[0]))
-    return rcond
+    return _factor(_shifted(lam, T, T.shape[0]))[1]
 
 
 def bordered_rcond(lam: float, T: np.ndarray, x: np.ndarray) -> float:
     """Reciprocal condition estimate of the bordered matrix."""
-    _, _, rcond = _factor(bordered_matrix(lam, T, x))
-    return rcond
+    return _factor(bordered_matrix(lam, T, x))[1]
 
 
 def solve_shifted(lam: float, T: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:

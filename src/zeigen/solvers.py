@@ -222,7 +222,7 @@ def project_sign_dominant(w_hat) -> np.ndarray:
     sum to a nonzero value.
     """
     w_hat = np.asarray(w_hat, dtype=float)
-    if not np.any(w_hat):
+    if not w_hat.any():
         raise ZeroVector("cannot sign-project the zero vector")
     if w_hat.min() >= 0.0:
         # already one-signed; the tie rule must not zero it out
@@ -433,7 +433,7 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
 
     def update(k, x, lam, pair, fields, w_hat):
         w = project_sign_dominant(w_hat)
-        flags = ("projection_changed",) if np.any(w != w_hat) else ()
+        flags = ("projection_changed",) if (w != w_hat).any() else ()
         lam_hat = _newton_value(A.m, lam, w_hat)
         if lam_hat is None:
             flags += ("zero_denominator_branch",)

@@ -75,7 +75,8 @@ def _build_plan(m: int, n: int, indices: np.ndarray, values: np.ndarray) -> _Pla
     # a stable sort; numpy's radix sort on 16-bit keys takes linear time
     order = (cells.astype(np.uint16) if n * n <= 1 << 16 else cells).argsort(kind="stable")
     indptr = np.zeros(n * n + 1, dtype=np.int32)
-    indptr[1:] = np.bincount(cells, minlength=n * n).cumsum()
+    indptr[1:] = np.bincount(cells, minlength=n * n)  # int32 holds them: (m-1) * nnz < 2^31
+    np.add.accumulate(indptr, out=indptr)  # in int32, in place: no temporary past bincount's
     del cells  # the plan below reuses its memory
     # others[j, p-1] is the j-th position other than p, for p = 1..m-1; an
     # empty tensor has no terms to take positions of, so it builds no rows

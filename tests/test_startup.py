@@ -34,7 +34,7 @@ def test_cli_import_skips_scipy_linalg():
 def test_routines_are_scipy_linalg_lapack_objects():
     import scipy.linalg
 
-    for name in ("dgetrf", "dgecon", "dgetrs"):
+    for name in ("dgetrf", "dgecon", "dgesv", "dlange"):
         assert getattr(linalg.lapack, name) is getattr(scipy.linalg.lapack, name)
 
 

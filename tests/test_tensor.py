@@ -322,8 +322,10 @@ class TestRatioBounds:
         assert ratio_bounds(apply(A, x), x) == (1.0, 1.0)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            ratio_bounds([1.0, 2.0], [0.0, 0.0])
+        # an empty v sums to 0, so it raises ZeroVector before any v.min()
+        for w, v in (([1.0, 2.0], [0.0, 0.0]), ([1.0, 2.0], [-0.0, 0.0]), ([], [])):
+            with pytest.raises(ZeroVector):
+                ratio_bounds(w, v)
 
     def test_unequal_shapes_rejected(self):
         with pytest.raises(DimensionMismatch):
