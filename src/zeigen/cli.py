@@ -196,7 +196,7 @@ def cmd_sweep(args) -> int:
 def cmd_check(args) -> int:
     tensor = load_tensor(args.tensor)
     print(f"m={tensor.m} n={tensor.n} nnz={tensor.nnz}")
-    x = np.full(tensor.n, 1.0 / tensor.n)
+    x = _parse_x0("uniform", tensor)
     low, high = ratio_bounds(apply(tensor, x), x)
     print(f"ratio bounds at uniform x: [{_fmt(low)}, {_fmt(high)}]")
     return 0

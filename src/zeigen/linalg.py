@@ -11,11 +11,11 @@ the order and to the bits of ``np.abs(M).sum(axis=0).max()`` (a NaN norm
 up to its payload; it makes the rcond 0 either way).
 ``SolveDiagnostics.singular`` is the one judge of singularity, and every LU
 happens inside ``solve_shifted``, ``solve_bordered``, ``shift_rcond`` or
-``bordered_rcond``.  A solve factors and solves in one ``dgesv`` call, with
-the bits of ``dgetrf`` then ``dgetrs``, and ``dgecon`` judges the same LU;
-an rcond alone takes ``dgetrf`` and ``dgecon``.
+``bordered_rcond``.  One ``dgesv`` call factors every matrix (an rcond alone
+solves a zero right-hand side), with the bits of ``dgetrf`` then ``dgetrs``,
+and ``dgecon`` judges that LU: one matrix gets one LU and one verdict.
 
-``dgesv``, ``dgetrf``, ``dgecon`` and ``dlange`` come from scipy's LAPACK extension
+``dgesv``, ``dgecon`` and ``dlange`` come from scipy's LAPACK extension
 ``scipy/linalg/_flapack*``, and the Jacobian kernel's ``csr_matvec`` from
 ``scipy/sparse/_sparsetools*``.  Both are loaded from their files: the
 ``scipy.linalg`` and ``scipy.sparse`` package inits are most of a
@@ -112,19 +112,15 @@ def bordered_matrix(lam: float, T: np.ndarray, x: np.ndarray) -> np.ndarray:
     return M
 
 
-def _factor(M: np.ndarray, b: np.ndarray | None = None):
-    """LU-factor ``M`` and estimate its 1-norm reciprocal condition number;
-    given ``b``, solve ``M y = b`` in the same ``dgesv`` call: ``(y, rcond)``,
-    with ``y`` None without ``b``.  :func:`_solve` drops ``y`` when
-    ``rcond`` judges ``M`` singular."""
+def _factor(M: np.ndarray, b: np.ndarray):
+    """LU-factor ``M`` and solve ``M y = b`` in one ``dgesv`` call, and
+    estimate ``M``'s 1-norm reciprocal condition number from that LU:
+    ``(y, rcond)``.  :func:`_solve` drops ``y`` when ``rcond`` judges ``M``
+    singular."""
     # M.T is M's F-ordered view, no copy: its largest row sum of magnitudes is
     # M's largest column sum, added up in np.abs(M).sum(axis=0).max()'s order
     anorm = lapack.dlange("I", M.T)
-    if b is None:
-        lu, _, info = lapack.dgetrf(M)
-        sol = None
-    else:
-        lu, _, sol, info = lapack.dgesv(M, b)
+    lu, _, sol, info = lapack.dgesv(M, b)
     if info > 0 or anorm == 0.0:
         return sol, 0.0
     rcond, _ = lapack.dgecon(lu, anorm, norm="1")
@@ -146,12 +142,13 @@ def _solve(M: np.ndarray, b: np.ndarray, error, what: str, lam: float):
 def shift_rcond(lam: float, T: np.ndarray) -> float:
     """Reciprocal condition estimate of lam*I - T."""
     T = np.asarray(T, dtype=float)
-    return _factor(_shifted(lam, T, T.shape[0]))[1]
+    return _factor(_shifted(lam, T, T.shape[0]), np.zeros(T.shape[0]))[1]
 
 
 def bordered_rcond(lam: float, T: np.ndarray, x: np.ndarray) -> float:
     """Reciprocal condition estimate of the bordered matrix."""
-    return _factor(bordered_matrix(lam, T, x))[1]
+    M = bordered_matrix(lam, T, x)
+    return _factor(M, np.zeros(M.shape[0]))[1]
 
 
 def solve_shifted(lam: float, T: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:

@@ -283,7 +283,7 @@ def _residual(ax: np.ndarray | None, x: np.ndarray, lam: float) -> float:
     NaN when the iterate is not finite (``ax`` is None or ``lam`` is not)."""
     if ax is None or not math.isfinite(lam):
         return np.nan
-    return float(np.abs(ax - lam * x).sum())  # np.linalg.norm(..., 1)'s own formula
+    return float(np.abs(ax - lam * x).sum())
 
 
 def _contract(A: Tensor, x: np.ndarray) -> tuple:

@@ -282,7 +282,7 @@ def _jacobian(A: Tensor, x: np.ndarray) -> np.ndarray:
 def residual(A: Tensor, x, lam: float) -> float:
     """1-norm of ``A x^{m-1} - lam * x`` (the solvers' stopping quantity)."""
     x = _check_vector(A, x)
-    return float(np.linalg.norm(apply(A, x) - lam * x, 1))
+    return float(np.abs(apply(A, x) - lam * x).sum())
 
 
 def ratio_bounds(w, v) -> tuple[float, float]:
@@ -298,7 +298,7 @@ def ratio_bounds(w, v) -> tuple[float, float]:
     v = np.asarray(v, dtype=float)
     if w.shape != v.shape or w.ndim != 1:
         raise DimensionMismatch(f"need equal-length vectors, got {w.shape} and {v.shape}")
-    vnorm = float(np.abs(v).sum())  # np.linalg.norm(v, 1)'s own formula
+    vnorm = float(np.abs(v).sum())
     if vnorm == 0.0:
         raise ZeroVector("ratio bounds need v != 0")
     if not vnorm < np.inf:  # NaN fails too

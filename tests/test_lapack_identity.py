@@ -1,7 +1,8 @@
 """Each LU is one LAPACK pass with the bits of the plain formulation.
 
-``linalg._factor`` takes the 1-norm from ``dlange`` on ``M.T`` and, given a
-right-hand side, factors and solves in one ``dgesv`` call.  The reference
+``linalg._factor`` takes the 1-norm from ``dlange`` on ``M.T`` and factors
+and solves in one ``dgesv`` call; an rcond alone solves a zero right-hand
+side, so its LU is the one a solve of the same matrix reads.  The reference
 here is the plain path: the 1-norm as ``np.abs(M).sum(axis=0).max()``, then
 ``dgetrf``, ``dgecon`` and ``dgetrs``.  Equality is on the raw bytes, with
 NaN, infinities, subnormals and signed zeros among the draws; only a NaN
@@ -95,13 +96,13 @@ def test_factor_norm_and_rcond_match_the_plain_formula(case):
     expected = np.abs(M).sum(axis=0).max()
     assert same_norm(LAPACK.dlange("I", M.T), expected)
     rcond, _ = reference_factor(M, b)
-    for rhs in (None, b):
+    for rhs in (np.zeros_like(b), b):
         spy = Spy()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "lapack", spy)
             sol, got = linalg._factor(M, rhs)
         assert same_bits(got, rcond)
-        assert (sol is None) == (rhs is None)
+        assert sol.shape == rhs.shape
         assert all(same_norm(anorm, expected) for anorm in spy.anorms)
 
 

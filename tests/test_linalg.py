@@ -59,6 +59,8 @@ class TestSolveShifted:
             b = rng.standard_normal(n)
             lam = float(rng.uniform(5.0, 10.0)) + float(np.abs(T).sum())
             w, diag = solve_shifted(lam, T, b)
+            # the rcond alone is read from the LU the solve judged by
+            assert shift_rcond(lam, T).hex() == diag.rcond.hex()
             M = lam * np.eye(n) - T
             backward = np.linalg.norm(M @ w - b, 1)
             scale = np.linalg.norm(b, 1) + np.linalg.norm(M, 1) * np.linalg.norm(w, 1)
@@ -114,11 +116,14 @@ class TestSolveBordered:
             x = x / x.sum()
             lam = float(rng.standard_normal())
             M = bordered_matrix(lam, T, x)
-            if bordered_rcond(lam, T, x) < 1e-8:
+            rcond = bordered_rcond(lam, T, x)
+            if rcond < 1e-8:
                 continue
             r = rng.standard_normal(n)
             s = float(rng.standard_normal())
-            d, delta, _ = solve_bordered(lam, T, x, r, s)
+            d, delta, diag = solve_bordered(lam, T, x, r, s)
+            # the rcond alone is read from the LU the solve judged by
+            assert diag.rcond.hex() == rcond.hex()
             expected = gauss_solve(M, np.concatenate([r, [s]]))
             assert_allclose(np.concatenate([d, [delta]]), expected, rtol=1e-10, atol=1e-10)
             checked += 1
@@ -146,6 +151,9 @@ class TestEnsureBorderedNonsingular:
         assert lam > 1.5
         assert diag.perturbation > 0
         assert bordered_rcond(lam, T, x) >= 1e-12
+        # MPNI's hand-off: the solve at the accepted shift judges the same LU
+        _, _, solved = solve_bordered(lam, T, x, np.ones(2), 1.0)
+        assert solved.rcond.hex() == diag.rcond.hex()
 
     def test_noop_on_random_nonsingular_inputs(self):
         rng = np.random.default_rng(17)
