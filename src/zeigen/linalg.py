@@ -1,19 +1,16 @@
 """Dense kernels for the shifted and bordered linear systems.
 
-Both systems are solved by LU with partial pivoting; near-singularity is
-detected with the LAPACK 1-norm reciprocal-condition estimator.  Matrices
-here are small (the solvers target n up to a few dozen), so dense
-factorizations are the simplest correct choice, and a call costs more than
-its flops.  Each matrix is filled into one fresh array, with the bits of
-``lam * np.eye(n) - T``.  Its 1-norm for the estimator is ``dlange``'s
-largest row sum of ``|M.T|``, the largest column sum of ``|M|``, summed in
-the order and to the bits of ``np.abs(M).sum(axis=0).max()`` (a NaN norm
-up to its payload; it makes the rcond 0 either way).
-``SolveDiagnostics.singular`` is the one judge of singularity, and every LU
-happens inside ``solve_shifted``, ``solve_bordered``, ``shift_rcond`` or
-``bordered_rcond``.  One ``dgesv`` call factors every matrix (an rcond alone
-solves a zero right-hand side), with the bits of ``dgetrf`` then ``dgetrs``,
-and ``dgecon`` judges that LU: one matrix gets one LU and one verdict.
+Both systems are solved by dense LU with partial pivoting (n is at most a
+few dozen, so a call costs more than its flops).  Each matrix is filled
+into one fresh array, with the bits of ``lam * np.eye(n) - T``; its 1-norm
+is ``dlange``'s largest row sum of ``|M.T|``, with the bits of
+``np.abs(M).sum(axis=0).max()`` (a NaN norm up to its payload; it makes the
+rcond 0 either way).  One ``dgesv`` call factors and solves each matrix,
+with the bits of ``dgetrf`` then ``dgetrs``, and ``SolveDiagnostics.singular``
+judges that LU by ``dgecon``'s rcond.  Every LU happens inside
+``solve_shifted``, ``solve_bordered``, ``shift_rcond``, ``bordered_rcond``
+or ``first_nonsingular``, the loop in which the solvers try shifts, each
+judged by the LU of the step's system at it.
 
 ``dgesv``, ``dgecon`` and ``dlange`` come from scipy's LAPACK extension
 ``scipy/linalg/_flapack*``, and the Jacobian kernel's ``csr_matvec`` from
@@ -39,7 +36,7 @@ from .errors import DimensionMismatch, PerturbationExhausted, SingularBordered, 
 
 # A matrix whose rcond estimate falls below this counts as singular.
 RCOND_THRESHOLD = 1e-12
-# The shift perturbation schedule of ensure_bordered_nonsingular.
+# The upward shift perturbation schedule of MPNI's rescue.
 EPS_BASE = 1e-8
 EPS_FACTOR = 2.0
 EPS_ATTEMPTS = 41
@@ -115,8 +112,7 @@ def bordered_matrix(lam: float, T: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _factor(M: np.ndarray, b: np.ndarray):
     """LU-factor ``M`` and solve ``M y = b`` in one ``dgesv`` call, and
     estimate ``M``'s 1-norm reciprocal condition number from that LU:
-    ``(y, rcond)``.  :func:`_solve` drops ``y`` when ``rcond`` judges ``M``
-    singular."""
+    ``(y, rcond)``, ``y`` meaningless when ``rcond`` judges ``M`` singular."""
     # M.T is M's F-ordered view, no copy: its largest row sum of magnitudes is
     # M's largest column sum, added up in np.abs(M).sum(axis=0).max()'s order
     anorm = lapack.dlange("I", M.T)
@@ -185,30 +181,56 @@ def solve_bordered(
     return sol[:-1], float(sol[-1]), diag
 
 
+def first_nonsingular(candidates, system):
+    """Factor ``(M, b) = system(c)`` for each candidate ``c``, one :func:`_factor`
+    call each, up to the first ``M`` not judged singular: ``(c, y, diag)``,
+    ``M y = b`` solved from that LU.  A rejected ``c`` raises nothing; if all
+    are, the last one's, whose ``diag.singular`` holds (rcond 0 for none)."""
+    c = y = diag = None
+    for c in candidates:
+        y, rcond = _factor(*system(c))
+        diag = SolveDiagnostics(rcond=rcond)
+        if not diag.singular:
+            break
+    return c, y, SolveDiagnostics(rcond=0.0) if diag is None else diag
+
+
+def _upward(lam: float):
+    """MPNI's candidate shifts with their offsets: ``lam``, then ``lam + max(1,
+    |lam|) * EPS_BASE * EPS_FACTOR**j`` for ``j = 0, ..., EPS_ATTEMPTS - 1``."""
+    yield float(lam), 0.0
+    scale = max(1.0, abs(lam))
+    for j in range(EPS_ATTEMPTS):
+        eps = scale * EPS_BASE * EPS_FACTOR**j
+        yield float(lam + eps), eps
+
+
+def _upward_shift(lam: float, T: np.ndarray, x: np.ndarray, rhs):
+    """MPNI's rescue: the first :func:`_upward` candidate whose bordered matrix
+    is not singular, with the solution for ``[r; s]``, ``(r, s) =
+    rhs(shift)``, from its LU: ``((shift, offset), y, diag)``."""
+    def system(c):
+        b = np.empty(x.size + 1)
+        b[:-1], b[-1] = rhs(c[0])
+        return bordered_matrix(c[0], T, x), b
+
+    (shift, eps), y, diag = first_nonsingular(_upward(lam), system)
+    if diag.singular:
+        raise PerturbationExhausted(
+            f"no shift perturbation of lam={lam!r} in {EPS_ATTEMPTS} attempts made the "
+            f"bordered matrix nonsingular (last rcond={diag.rcond:.3e})",
+            diagnostics=SolveDiagnostics(rcond=diag.rcond, perturbation=eps),
+        )
+    return (shift, eps), y, diag
+
+
 def ensure_bordered_nonsingular(
     lam: float, T: np.ndarray, x: np.ndarray
 ) -> tuple[float, SolveDiagnostics]:
-    """Return a shift ``lam'`` whose bordered matrix is not flagged singular.
-
-    When :attr:`SolveDiagnostics.singular` judges the matrix at ``lam``
-    singular, tries ``lam + max(1, |lam|) * EPS_BASE * EPS_FACTOR**j`` for
-    ``j = 0, ..., EPS_ATTEMPTS - 1``, each through :func:`bordered_rcond`.
+    """Return a shift ``lam'`` whose bordered matrix is not flagged singular,
+    by MPNI's rescue with a zero right-hand side (see :func:`_upward_shift`).
     The bordered determinant is a polynomial of degree n-1 in the shift, so
-    only finitely many shifts are bad; the schedule is still bounded and
-    raises :class:`PerturbationExhausted` if every candidate fails.  It only
-    picks the shift: :func:`solve_bordered` factors the accepted matrix again.
-    """
-    scale = max(1.0, abs(lam))
-    candidate, eps = float(lam), 0.0
-    for j in range(-1, EPS_ATTEMPTS):  # j = -1 tries lam itself
-        if j >= 0:
-            eps = scale * EPS_BASE * EPS_FACTOR**j
-            candidate = float(lam + eps)
-        diag = SolveDiagnostics(rcond=bordered_rcond(candidate, T, x), perturbation=eps)
-        if not diag.singular:
-            return candidate, diag
-    raise PerturbationExhausted(
-        f"no shift perturbation of lam={lam!r} in {EPS_ATTEMPTS} attempts made the "
-        f"bordered matrix nonsingular (last rcond={diag.rcond:.3e})",
-        diagnostics=diag,
-    )
+    only finitely many shifts are bad, but the schedule is bounded."""
+    x = np.asarray(x, dtype=float)
+    (shift, eps), _, diag = _upward_shift(lam, T, x, lambda shift: (0.0, 0.0))
+    return shift, SolveDiagnostics(rcond=diag.rcond, perturbation=eps)

@@ -4,13 +4,9 @@ One loop (``_iterate``) runs all four schemes and is the one place a run
 ends: it records every iterate as a :class:`StepRecord`, the trace being
 the tuple of them, and stops on ``||A x^{m-1} - lam x||_1 < tol``, on a
 non-finite or diverging iterate, after ``max_iter`` steps or when a step
-fails, with the last iterate formed as the final one.  It alone turns
-:class:`ProjectionEmpty`, or the :class:`PerturbationExhausted` a scheme
-raises when it gives up, into ``projection_empty`` or
-``perturbation_exhausted``, with the message as the reason.  Each scheme
-solves its system, and rescues a (near-)singular shift, inside its step,
-and no step follows a run's last iterate.  The schemes differ only in the
-step rule that forms the next ``(x, lam)``:
+fails (it turns :class:`ProjectionEmpty` or :class:`PerturbationExhausted`
+into a status, with the message as the reason).  The schemes differ only
+in the step that forms the next ``(x, lam)``, rescuing a singular shift:
 
 * ``run_newton``  -- a plain Newton step through the bordered system; no
   projection, no clamping.  Baseline; may leave the nonnegative cone.
@@ -22,17 +18,17 @@ step rule that forms the next ``(x, lam)``:
   the shift toward the ratio interval with a factor ``beta``.
 * ``run_mpni``    -- the Newton step of ``run_newton``, then projection of
   the iterate onto the probability simplex and clamping of the shift at
-  zero.  Only when the bordered system at the shift is near-singular does
-  ``ensure_bordered_nonsingular`` perturb the shift upward, and the step is
-  taken again at the shift it returns.
+  zero.  When the bordered system at the shift is near-singular, the step
+  perturbs the shift upward on ``ensure_bordered_nonsingular``'s schedule.
 
 MNI, PNI and ``newton_step_closed`` share one closed-form update through
 ``w = (lam I - T(x))^{-1} x``: the Newton value ``(lam - 1 / e^T w) /
-(m-1)`` and the direction ``(m-2) x + w / e^T w``.  MNI and PNI share one
-step that moves a near-singular shift, and the iterate that step forms
-carries the rescue flag and the shift's offset, as a perturbed MPNI step's
-does.  MNI, PNI and MPNI start from the contraction and ratio interval that
-``_next_interval`` gives, as every later MNI and PNI iterate does.
+(m-1)`` and the direction ``(m-2) x + w / e^T w``.  MNI, PNI and MPNI try
+their shifts through one loop, ``first_nonsingular``, which judges a shift
+by the LU that solves the step's system at it, and the iterate a rescue
+forms carries its flag and the shift's offset.  They start from the
+contraction and ratio interval of ``_next_interval``, as every later MNI
+and PNI iterate does.
 
 Each iterate costs one Jacobian ``T(x)``, which the next step's system
 reuses; the residual and ratio interval take the contraction from it as
@@ -52,11 +48,10 @@ from .errors import (
     PerturbationExhausted,
     ProjectionEmpty,
     SingularBordered,
-    SingularShift,
     ZeroDenominator,
     ZeroVector,
 )
-from .linalg import ensure_bordered_nonsingular, solve_bordered, solve_shifted
+from .linalg import _shifted, _upward_shift, first_nonsingular, solve_bordered, solve_shifted
 from .tensor import Iterate, Tensor, _euler, apply, jacobian_T, ratio_bounds
 
 METHODS = ("newton", "mni", "pni", "mpni")
@@ -111,15 +106,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """State at one iteration, plus how it was produced.
-
-    ``lam_hat`` is the unclamped Newton value behind ``lam`` (None at the
-    start or when e^T w = 0 forced the fallback branch); the interval
-    fields are the componentwise ratio bounds when the scheme computes
-    them; ``perturbation`` is the shift offset of a rescue in the step that
-    produced this iterate, MPNI's upward perturbation or MNI's and PNI's
-    move, nonzero exactly when ``flags`` names that rescue.
-    """
+    """State at one iteration, plus how it was produced: ``lam_hat`` is the
+    unclamped Newton value behind ``lam`` (None at the start or when e^T w = 0
+    forced the fallback branch), the interval fields are the componentwise
+    ratio bounds when the scheme computes them, and ``perturbation`` is the
+    shift offset of the rescue in the step that formed this iterate, nonzero
+    exactly when ``flags`` names that rescue."""
 
     k: int
     x: np.ndarray
@@ -169,10 +161,13 @@ def newton_step_bordered(
         T = jacobian_T(A, x)
     if ax is None:
         ax = apply(A, x)
-    r = lam * x - ax
-    s = float(x.sum() - 1.0)
-    d, delta, _ = solve_bordered(lam, T, x, r, s)
+    d, delta, _ = solve_bordered(lam, T, x, *_newton_rhs(lam, x, ax))
     return x - d, float(lam - delta)
+
+
+def _newton_rhs(lam: float, x: np.ndarray, ax: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(r, s) = (lam x - A x^{m-1}, e^T x - 1)``, the bordered Newton step's."""
+    return lam * x - ax, float(x.sum() - 1.0)
 
 
 def newton_step_closed(
@@ -310,9 +305,8 @@ def _iterate(method, cfg, x, lam, pair, fields, step) -> SolveReport:
     fields.  ``step(k, x, lam, pair, fields)`` returns the next ``(x, lam,
     pair, fields)`` or raises :class:`ProjectionEmpty` or
     :class:`PerturbationExhausted`; none follows the last iterate, so a
-    ``max_iter`` run factors no matrix for it.  The report's final iterate
-    is the last one formed, for every scheme.
-    """
+    ``max_iter`` run factors no matrix for it.  The final iterate is the last
+    one formed."""
     trace = []
     status, reason = "max_iter", None
     for k in range(cfg.max_iter + 1):
@@ -365,17 +359,6 @@ def run_newton(
     return _iterate("newton", config or SolverConfig(method="newton"), x, lam, pair, {}, step)
 
 
-def _first_nonsingular(shifts, T, x):
-    """The first shift in ``shifts`` whose matrix ``shift I - T`` is not
-    (near-)singular, with ``(shift I - T)^{-1} x`` from its LU; or None."""
-    for shift in shifts:
-        try:
-            return shift, solve_shifted(shift, T, x)[0]
-        except SingularShift:
-            pass
-    return None
-
-
 def _bisection(lam, lam_low, lam_high):
     """Shifts bisecting from ``lam`` toward the farther end of ``[lam_low,
     lam_high]``, ``INTERVAL_ADJUST_ATTEMPTS`` of them."""
@@ -387,25 +370,27 @@ def _bisection(lam, lam_low, lam_high):
 
 def _shift_iterate(method, A, x0, cfg, rescue, update) -> SolveReport:
     """MNI and PNI: start at the upper ratio bound of ``x0 > 0``.  Each step
-    solves ``(lam I - T(x)) w = x``; when the shift is (near-)singular,
-    ``rescue(lam, fields)`` gives the shifts to try in its place, the flag
-    to record for the one taken, and the failure reason when none serves.
-    The flag and the shift's offset go on the iterate the rescued step
-    forms: ``(x, s)`` itself when ``x`` meets ``tol`` at the shift ``s``,
+    solves ``(lam I - T(x)) w = x``; at a (near-)singular shift,
+    ``rescue(lam, fields)`` gives the shifts to try instead, the flag for the
+    one taken and the failure reason when none serves.  The rescued step
+    forms ``(x, s)`` itself when ``x`` meets ``tol`` at the shift ``s``,
     otherwise ``update(k, x, s, pair, fields, w)``."""
     x = _check_start(A, x0, cone="open")
     pair, fields = _next_interval(A, x, lam_hat=None, flags=())
 
     def step(k, x, lam, pair, fields):
         ax, T = pair
-        found = _first_nonsingular((lam,), T, x)
-        if found is not None:
-            return update(k, x, lam, pair, fields, found[1])
+
+        def system(shift):
+            return _shifted(shift, T, x.size), x
+
+        _, w_hat, diag = first_nonsingular((lam,), system)
+        if not diag.singular:
+            return update(k, x, lam, pair, fields, w_hat)
         shifts, flag, reason = rescue(lam, fields)
-        found = _first_nonsingular(shifts, T, x)
-        if found is None:
+        shift, w_hat, diag = first_nonsingular(shifts, system)
+        if diag.singular:
             raise PerturbationExhausted(reason)
-        shift, w_hat = found
         x_next, lam_next = x, shift
         if _residual(ax, x, shift) >= cfg.tol:
             x_next, lam_next, pair, fields = update(k, x, shift, pair, fields, w_hat)
@@ -422,9 +407,8 @@ def run_mni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     Per step: solve ``(lam_k I - T(x_k)) w = x_k``, keep the dominant sign
     part of ``w``, form ``x_{k+1}`` from ``(m-2) x_k + w / (e^T w)``
     normalized to unit 1-norm, then pick ``lam_{k+1}`` inside the new ratio
-    interval (clamping the Newton value).  A shift that leaves the shifted
-    matrix near-singular is bisected within the interval before it is used.
-    """
+    interval (clamping the Newton value); a near-singular shift is bisected
+    within the interval."""
 
     def rescue(lam, fields):
         lam_low, lam_high = fields["lam_low"], fields["lam_high"]
@@ -450,10 +434,8 @@ def run_pni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     and the candidate iterate is projected onto the probability simplex.
 
     The next shift follows the damped rule with ``beta`` from the config
-    schedule; when that shift leaves the shifted matrix near-singular,
-    alternative damping factors (the fallback grid 0, 0.1, ..., 1) are
-    tried.  Requires ``e^T w != 0`` at every step; a vanishing denominator
-    is reported as a failure.
+    schedule; at a near-singular shift the fallback betas 0, 0.1, ..., 1 are
+    tried.  A vanishing ``e^T w`` is reported as a failure.
     """
     cfg = config or SolverConfig(method="pni")
     beta_steps = []  # the steps whose update damped the next shift
@@ -495,22 +477,17 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
     """Modified projected Newton iteration.
 
     Starts from the upper ratio bound, takes full Newton steps through the
-    bordered system (perturbing the shift upward when that system is
-    near-singular), projects each candidate iterate onto the probability
-    simplex, and clamps each candidate shift at zero.
+    bordered system (perturbing a near-singular shift upward), projects each
+    candidate iterate onto the probability simplex, and clamps each candidate
+    shift at zero.
     """
     x = _check_start(A, x0, cone="closed")
     pair, fields = _next_interval(A, x)
 
     def step(k, x, lam, pair, fields):
         ax, T = pair
-        eps = 0.0
-        try:
-            x_hat, lam_hat = newton_step_bordered(A, x, lam, T=T, ax=ax)
-        except SingularBordered:
-            lam_use, diag = ensure_bordered_nonsingular(lam, T, x)
-            x_hat, lam_hat = newton_step_bordered(A, x, lam_use, T=T, ax=ax)
-            eps = diag.perturbation
+        (shift, eps), sol, _ = _upward_shift(lam, T, x, lambda shift: _newton_rhs(shift, x, ax))
+        x_hat, lam_hat = x - sol[:-1], float(shift - sol[-1])
         x = proj_simplex(x_hat)
         flags = ("lambda_perturbed",) if eps > 0 else ()
         if x_hat.min() < 0:  # a NaN here makes the iterate diverge, unrecorded

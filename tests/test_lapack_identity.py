@@ -4,7 +4,8 @@
 and solves in one ``dgesv`` call; an rcond alone solves a zero right-hand
 side, so its LU is the one a solve of the same matrix reads.  The reference
 here is the plain path: the 1-norm as ``np.abs(M).sum(axis=0).max()``, then
-``dgetrf``, ``dgecon`` and ``dgetrs``.  Equality is on the raw bytes, with
+``dgetrf``, ``dgecon`` and ``dgetrs``; for the rescue loop
+``first_nonsingular``, that path run one candidate at a time.  Equality is on the raw bytes, with
 NaN, infinities, subnormals and signed zeros among the draws; only a NaN
 1-norm is compared as NaN, since its payload may differ.  The properties run
 at the ``max_examples`` of the loaded hypothesis profile
@@ -107,8 +108,8 @@ def test_factor_norm_and_rcond_match_the_plain_formula(case):
 
 
 @settings(deadline=None)
-@given(systems(extremes=False))
-def test_solve_matches_getrf_then_getrs(case):
+@given(systems(extremes=False), st.lists(systems(extremes=False), max_size=3))
+def test_solve_matches_getrf_then_getrs(case, others):
     M, b = case
     rcond, expected = reference_factor(M, b)
     if rcond < linalg.RCOND_THRESHOLD:
@@ -118,3 +119,15 @@ def test_solve_matches_getrf_then_getrs(case):
     else:
         sol, diag = linalg._solve(M, b, SingularShift, "M", 0.0)
         assert same_bits(sol, expected) and same_bits(diag.rcond, rcond)
+    # the rescue loop over case, then others: the first candidate the plain
+    # path does not judge singular, or the last one, with its rcond and solution
+    candidates = [case, *others]
+    found, sol, diag = linalg.first_nonsingular(range(len(candidates)), candidates.__getitem__)
+    for i, (M_i, b_i) in enumerate(candidates):
+        rcond, expected = reference_factor(M_i, b_i)
+        if rcond >= linalg.RCOND_THRESHOLD:
+            break
+    assert found == i and same_bits(diag.rcond, rcond)
+    assert diag.singular == (rcond < linalg.RCOND_THRESHOLD)
+    if not diag.singular:
+        assert same_bits(sol, expected)

@@ -143,6 +143,14 @@ class TestEnsureBorderedNonsingular:
         assert lam == 0.0
         assert diag.perturbation == 0.0
 
+    def test_keeps_the_sign_of_a_zero_shift(self, cubic3):
+        # MPNI clamps its shift with max(lam_hat, 0.0), which keeps a -0.0; the
+        # rescue's first candidate is that shift itself, not lam + 0.0 = +0.0
+        T = jacobian_T(cubic3, [1.0, 0.0, 0.0])
+        lam, diag = ensure_bordered_nonsingular(-0.0, T, np.array([1.0, 0.0, 0.0]))
+        assert lam.hex() == "-0x0.0p+0"
+        assert diag.perturbation == 0.0
+
     def test_escapes_constructed_root(self):
         T = np.diag([1.0, 2.0])
         x = np.array([0.5, 0.5])
@@ -151,7 +159,7 @@ class TestEnsureBorderedNonsingular:
         assert lam > 1.5
         assert diag.perturbation > 0
         assert bordered_rcond(lam, T, x) >= 1e-12
-        # MPNI's hand-off: the solve at the accepted shift judges the same LU
+        # a solve at the accepted shift judges the matrix by the same rcond
         _, _, solved = solve_bordered(lam, T, x, np.ones(2), 1.0)
         assert solved.rcond.hex() == diag.rcond.hex()
 
