@@ -6,8 +6,9 @@ into one fresh array, with the bits of ``lam * np.eye(n) - T``; its 1-norm
 is ``dlange``'s largest row sum of ``|M.T|``, with the bits of
 ``np.abs(M).sum(axis=0).max()`` (a NaN norm up to its payload; it makes the
 rcond 0 either way).  One ``dgesv`` call factors and solves each matrix,
-with the bits of ``dgetrf`` then ``dgetrs``, and ``SolveDiagnostics.singular``
-judges that LU by ``dgecon``'s rcond.  Every LU happens inside
+with the bits of ``dgetrf`` then ``dgetrs``; ``_factor`` returns the verdict on
+that LU, ``dgecon``'s rcond, as the :class:`SolveDiagnostics` every caller
+reads, and ``SolveDiagnostics.singular`` judges it.  Every LU happens inside
 ``solve_shifted``, ``solve_bordered``, ``shift_rcond``, ``bordered_rcond``
 or ``first_nonsingular``, the loop in which the solvers try shifts, each
 judged by the LU of the step's system at it.
@@ -110,41 +111,38 @@ def bordered_matrix(lam: float, T: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _factor(M: np.ndarray, b: np.ndarray):
-    """LU-factor ``M`` and solve ``M y = b`` in one ``dgesv`` call, and
-    estimate ``M``'s 1-norm reciprocal condition number from that LU:
-    ``(y, rcond)``, ``y`` meaningless when ``rcond`` judges ``M`` singular."""
+    """LU-factor ``M`` and solve ``M y = b`` in one ``dgesv`` call, and judge
+    ``M`` by the 1-norm reciprocal condition number estimated from that LU:
+    ``(y, SolveDiagnostics(rcond))``, ``y`` meaningless when ``diag.singular``."""
     # M.T is M's F-ordered view, no copy: its largest row sum of magnitudes is
     # M's largest column sum, added up in np.abs(M).sum(axis=0).max()'s order
     anorm = lapack.dlange("I", M.T)
     lu, _, sol, info = lapack.dgesv(M, b)
-    if info > 0 or anorm == 0.0:
-        return sol, 0.0
-    rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-    return sol, rcond if math.isfinite(rcond) else 0.0
+    rcond = lapack.dgecon(lu, anorm, norm="1")[0] if info <= 0 and anorm != 0.0 else 0.0
+    return sol, SolveDiagnostics(rcond=rcond if math.isfinite(rcond) else 0.0)
 
 
 def _solve(M: np.ndarray, b: np.ndarray, error, what: str, lam: float):
-    """Factor ``M``, judge it with :attr:`SolveDiagnostics.singular` and solve
-    ``M y = b``, in one :func:`_factor` call: ``(y, diag)``.  ``error`` names
-    ``what.format(lam)``, formatted on a raise only."""
-    sol, rcond = _factor(M, b)
-    diag = SolveDiagnostics(rcond=rcond)
+    """Factor ``M``, judge it and solve ``M y = b``, in one :func:`_factor`
+    call: ``(y, diag)``.  ``error`` names ``what.format(lam)``, formatted on
+    a raise only."""
+    sol, diag = _factor(M, b)
     if diag.singular:
-        what = what.format(lam)
-        raise error(f"{what} is singular or nearly singular (rcond={rcond:.3e})", diagnostics=diag)
+        raise error(f"{what.format(lam)} is singular or nearly singular "
+                    f"(rcond={diag.rcond:.3e})", diagnostics=diag)
     return sol, diag
 
 
 def shift_rcond(lam: float, T: np.ndarray) -> float:
     """Reciprocal condition estimate of lam*I - T."""
     T = np.asarray(T, dtype=float)
-    return _factor(_shifted(lam, T, T.shape[0]), np.zeros(T.shape[0]))[1]
+    return _factor(_shifted(lam, T, T.shape[0]), np.zeros(T.shape[0]))[1].rcond
 
 
 def bordered_rcond(lam: float, T: np.ndarray, x: np.ndarray) -> float:
     """Reciprocal condition estimate of the bordered matrix."""
     M = bordered_matrix(lam, T, x)
-    return _factor(M, np.zeros(M.shape[0]))[1]
+    return _factor(M, np.zeros(M.shape[0]))[1].rcond
 
 
 def solve_shifted(lam: float, T: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, SolveDiagnostics]:
@@ -188,8 +186,7 @@ def first_nonsingular(candidates, system):
     are, the last one's, whose ``diag.singular`` holds (rcond 0 for none)."""
     c = y = diag = None
     for c in candidates:
-        y, rcond = _factor(*system(c))
-        diag = SolveDiagnostics(rcond=rcond)
+        y, diag = _factor(*system(c))
         if not diag.singular:
             break
     return c, y, SolveDiagnostics(rcond=0.0) if diag is None else diag
@@ -207,30 +204,31 @@ def _upward(lam: float):
 
 def _upward_shift(lam: float, T: np.ndarray, x: np.ndarray, rhs):
     """MPNI's rescue: the first :func:`_upward` candidate whose bordered matrix
-    is not singular, with the solution for ``[r; s]``, ``(r, s) =
-    rhs(shift)``, from its LU: ``((shift, offset), y, diag)``."""
+    is not singular, with the solution for ``[r; s]``, ``(r, s) = rhs(shift)``,
+    from its LU: ``(shift, y, diag)``, the offset as ``diag.perturbation``;
+    :class:`PerturbationExhausted` carries the last candidate's ``diag``."""
     def system(c):
         b = np.empty(x.size + 1)
         b[:-1], b[-1] = rhs(c[0])
         return bordered_matrix(c[0], T, x), b
 
     (shift, eps), y, diag = first_nonsingular(_upward(lam), system)
+    diag = SolveDiagnostics(rcond=diag.rcond, perturbation=eps)
     if diag.singular:
         raise PerturbationExhausted(
             f"no shift perturbation of lam={lam!r} in {EPS_ATTEMPTS} attempts made the "
             f"bordered matrix nonsingular (last rcond={diag.rcond:.3e})",
-            diagnostics=SolveDiagnostics(rcond=diag.rcond, perturbation=eps),
+            diagnostics=diag,
         )
-    return (shift, eps), y, diag
+    return shift, y, diag
 
 
 def ensure_bordered_nonsingular(
     lam: float, T: np.ndarray, x: np.ndarray
 ) -> tuple[float, SolveDiagnostics]:
-    """Return a shift ``lam'`` whose bordered matrix is not flagged singular,
-    by MPNI's rescue with a zero right-hand side (see :func:`_upward_shift`).
-    The bordered determinant is a polynomial of degree n-1 in the shift, so
-    only finitely many shifts are bad, but the schedule is bounded."""
-    x = np.asarray(x, dtype=float)
-    (shift, eps), _, diag = _upward_shift(lam, T, x, lambda shift: (0.0, 0.0))
-    return shift, SolveDiagnostics(rcond=diag.rcond, perturbation=eps)
+    """A shift ``lam'`` whose bordered matrix is not flagged singular, and its
+    diagnostics, by MPNI's rescue with a zero right-hand side (see
+    :func:`_upward_shift`).  The bordered determinant has degree n-1 in the
+    shift, so only finitely many shifts are bad; the schedule is bounded."""
+    shift, _, diag = _upward_shift(lam, T, np.asarray(x, dtype=float), lambda shift: (0.0, 0.0))
+    return shift, diag

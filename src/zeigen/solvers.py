@@ -32,7 +32,8 @@ and PNI iterate does.
 
 Each iterate costs one Jacobian ``T(x)``, which the next step's system
 reuses; the residual and ratio interval take the contraction from it as
-``apply`` does, ``T(x) x / (m-1)``, so ``residual`` reads a report's bits.
+``apply`` does, ``T(x) x / (m-1)``, and the residual is ``tensor._residual``,
+the sum ``residual`` adds, so ``residual`` reads a report's bits.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import (
     ZeroVector,
 )
 from .linalg import _shifted, _upward_shift, first_nonsingular, solve_bordered, solve_shifted
-from .tensor import Iterate, Tensor, _euler, apply, jacobian_T, ratio_bounds
+from .tensor import Iterate, Tensor, _euler, _residual, apply, jacobian_T, ratio_bounds
 
 METHODS = ("newton", "mni", "pni", "mpni")
 
@@ -273,14 +274,6 @@ def _check_start(A: Tensor, x0, cone: str) -> np.ndarray:
     return x0
 
 
-def _residual(ax: np.ndarray | None, x: np.ndarray, lam: float) -> float:
-    """``||A x^{m-1} - lam x||_1`` from the contraction ``ax = A x^{m-1}``;
-    NaN when the iterate is not finite (``ax`` is None or ``lam`` is not)."""
-    if ax is None or not math.isfinite(lam):
-        return np.nan
-    return float(np.abs(ax - lam * x).sum())
-
-
 def _contract(A: Tensor, x: np.ndarray) -> tuple:
     """``(A x^{m-1}, T(x))`` from one Jacobian, the contraction by Euler's
     identity ``T(x) x / (m-1)``; ``(None, None)`` for a non-finite ``x``."""
@@ -306,11 +299,11 @@ def _iterate(method, cfg, x, lam, pair, fields, step) -> SolveReport:
     pair, fields)`` or raises :class:`ProjectionEmpty` or
     :class:`PerturbationExhausted`; none follows the last iterate, so a
     ``max_iter`` run factors no matrix for it.  The final iterate is the last
-    one formed."""
+    one formed; a non-finite one gets a NaN residual and ends the run."""
     trace = []
     status, reason = "max_iter", None
     for k in range(cfg.max_iter + 1):
-        res = _residual(pair[0], x, lam)
+        res = np.nan if pair[0] is None or not math.isfinite(lam) else _residual(pair[0], x, lam)
         if not math.isfinite(res):
             status, reason = "diverged", "non-finite iterate"
             break
@@ -486,13 +479,13 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
 
     def step(k, x, lam, pair, fields):
         ax, T = pair
-        (shift, eps), sol, _ = _upward_shift(lam, T, x, lambda shift: _newton_rhs(shift, x, ax))
+        shift, sol, diag = _upward_shift(lam, T, x, lambda shift: _newton_rhs(shift, x, ax))
         x_hat, lam_hat = x - sol[:-1], float(shift - sol[-1])
         x = proj_simplex(x_hat)
-        flags = ("lambda_perturbed",) if eps > 0 else ()
+        flags = ("lambda_perturbed",) if diag.perturbation > 0 else ()
         if x_hat.min() < 0:  # a NaN here makes the iterate diverge, unrecorded
             flags += ("projection_changed",)
-        fields = {"lam_hat": lam_hat, "flags": flags, "perturbation": eps}
+        fields = {"lam_hat": lam_hat, "flags": flags, "perturbation": diag.perturbation}
         return x, max(lam_hat, 0.0), _contract(A, x), fields
 
     cfg = config or SolverConfig(method="mpni")

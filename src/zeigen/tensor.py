@@ -5,7 +5,8 @@ value)`` pairs with 1-based indices; unlisted entries are zero, and
 repeated tuples are summed (scipy's COO convention).
 
 ``apply`` takes the contraction from the Jacobian by Euler's identity,
-``T(x) x / (m-1)``, as every solve does.  The Jacobian's index plan is
+``T(x) x / (m-1)``, and ``residual`` adds up ``_residual``, as every solve
+does, so it reads a report's residual bits.  The Jacobian's index plan is
 built once per :class:`Tensor` and is read-only.  It takes the products of
 ``x`` from the flat ``d``-fold outer power ``x ⊗ ... ⊗ x``, ``d <= m-2``
 the largest depth with ``n^d <= nnz`` (so the table is never larger than
@@ -247,6 +248,11 @@ def _euler(T: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     return (T * x).sum(axis=1) / (m - 1)
 
 
+def _residual(ax: np.ndarray, x: np.ndarray, lam: float) -> float:
+    """``||A x^{m-1} - lam x||_1`` from the contraction ``ax = A x^{m-1}``."""
+    return float(np.abs(ax - lam * x).sum())
+
+
 def apply(A: Tensor, x) -> np.ndarray:
     """Contract the tensor with ``m - 1`` copies of ``x``:
     ``(A x^{m-1})_i = sum A_{i i2 ... im} x_{i2} ... x_{im}``, taken from the
@@ -282,7 +288,7 @@ def _jacobian(A: Tensor, x: np.ndarray) -> np.ndarray:
 def residual(A: Tensor, x, lam: float) -> float:
     """1-norm of ``A x^{m-1} - lam * x`` (the solvers' stopping quantity)."""
     x = _check_vector(A, x)
-    return float(np.abs(apply(A, x) - lam * x).sum())
+    return _residual(apply(A, x), x, lam)
 
 
 def ratio_bounds(w, v) -> tuple[float, float]:

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: dense
 contraction straight from the definition, the same contraction as a
 gather per stored entry and a scatter, Gaussian elimination with
-partial pivoting written out by hand, and root bisection for the known
-two-dimensional quartic tensor.
+partial pivoting written out by hand, root bisection for the known
+two-dimensional quartic tensor, and the polynomial roots that give every
+nonnegative eigenpair of any two-dimensional tensor.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from numpy.polynomial import Polynomial
 
 from zeigen import build_tensor
 
@@ -152,3 +154,36 @@ def quartic2_eigenpairs_oracle() -> list[tuple[np.ndarray, float]]:
     pairs.append((np.array([1.0, 0.0]), 1.1))
     pairs.sort(key=lambda p: p[1])
     return pairs
+
+
+# Roots of dim2_eigenpairs_oracle's polynomial this close to real and to [0, 1]
+# count: a simple root at t = 1 may come out just past it.
+ROOT_TOL = 1e-9
+
+
+def dim2_eigenpairs_oracle(A) -> list[tuple[np.ndarray, float]]:
+    """All nonnegative eigenpairs of a tensor of dimension 2, sorted by lam.
+    On the simplex x = (t, 1-t), and x is an eigenvector exactly when t in
+    [0, 1] is a root of g(t) = f1(t) (1-t) - f2(t) t, f = A x^{m-1}, a
+    polynomial of degree at most m, here built with ``numpy.polynomial`` from
+    the stored entries; a multiple root counts once, and lam = f_i(t) / x_i
+    at the larger coordinate i."""
+    assert A.n == 2
+    coords = (Polynomial([0.0, 1.0]), Polynomial([1.0, -1.0]))  # x1 = t, x2 = 1 - t
+    f = [Polynomial([0.0]), Polynomial([0.0])]
+    for index, value in zip(A.indices, A.values):
+        term = Polynomial([value])
+        for j in index[1:]:
+            term = term * coords[j]
+        f[index[0]] = f[index[0]] + term
+    g = (f[0] * coords[1] - f[1] * coords[0]).trim()
+    if not g.coef.any():
+        raise ValueError("every point of the simplex is an eigenvector")
+    roots = {min(max(float(r.real), 0.0), 1.0) for r in g.roots()
+             if abs(r.imag) <= ROOT_TOL and -ROOT_TOL <= r.real <= 1.0 + ROOT_TOL}
+    pairs = []
+    for t in roots:
+        x = np.array([t, 1.0 - t])
+        i = int(np.argmax(x))
+        pairs.append((x, float(f[i](t) / x[i])))
+    return sorted(pairs, key=lambda pair: pair[1])

@@ -18,7 +18,9 @@ note.
 One MPNI ``--trace`` case also runs as ``python -m zeigen.cli`` in a fresh
 interpreter.  It is the one place where the LAPACK extension that
 ``zeigen.linalg`` loads directly does the arithmetic with ``scipy.linalg``
-never imported.
+never imported.  It runs once more in a fresh interpreter that imports
+``scipy.linalg`` and ``scipy.sparse`` first, where ``zeigen.linalg`` must
+reuse the extensions those packages loaded.
 
 ``PYTHONPATH=src python tests/test_golden_cli.py --diff`` compares every
 case with the tree's output and writes nothing: it names each file that
@@ -84,11 +86,39 @@ def test_cli_output_matches_golden(name):
     assert _run(CASES[name]) == expected
 
 
-@pytest.mark.parametrize("name", ["solve_mpni_cubic3.json"])
-def test_cli_process_matches_golden(name):
+# Imports scipy's packages first, so zeigen.linalg takes the extensions they
+# loaded from sys.modules, checks that it did, then runs the CLI.  Executing a
+# loaded extension's file again hands back the same module, so the spy on the
+# loader is what tells reuse from a second load.
+SCIPY_FIRST = """\
+import sys
+from importlib.machinery import ExtensionFileLoader
+import scipy.linalg, scipy.sparse
+flapack, sparsetools = sys.modules["scipy.linalg._flapack"], scipy.sparse._sparsetools
+loaded, exec_module = [], ExtensionFileLoader.exec_module
+ExtensionFileLoader.exec_module = lambda self, module: loaded.append(self.name) or exec_module(self, module)
+from zeigen import linalg
+from zeigen.cli import main
+assert linalg.lapack is flapack, linalg.lapack
+assert linalg.csr_matvec is sparsetools.csr_matvec, linalg.csr_matvec
+assert not [name for name in loaded if name.startswith("scipy.")], loaded
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "name, entry",
+    [
+        pytest.param("solve_mpni_cubic3.json", ["-m", "zeigen.cli"], id="solve_mpni_cubic3.json"),
+        pytest.param("solve_mpni_cubic3.json", ["-c", SCIPY_FIRST],
+                     id="solve_mpni_cubic3.json-scipy_loaded_first"),
+    ],
+)
+def test_cli_process_matches_golden(name, entry):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "zeigen.cli", *CASES[name]],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, check=True)
+    proc = subprocess.run([sys.executable, *entry, *CASES[name]],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN_DIR / name).read_bytes()
 
 

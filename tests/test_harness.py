@@ -21,7 +21,16 @@ from zeigen import (
     residual,
 )
 
-from conftest import quartic2_eigenpairs_oracle
+from conftest import dim2_eigenpairs_oracle, quartic2_eigenpairs_oracle
+
+
+def test_the_exact_dim2_oracle_gives_the_hand_derived_pairs(quartic2):
+    # two interior pairs, and the face pair ([1, 0], 1.1) from the root t = 1
+    exact, hand = dim2_eigenpairs_oracle(quartic2), quartic2_eigenpairs_oracle()
+    assert len(exact) == len(hand) == 3
+    for (x, lam), (x_ref, lam_ref) in zip(exact, hand):
+        assert np.abs(x - x_ref).sum() <= 1e-13
+        assert abs(lam - lam_ref) <= 1e-13
 
 
 class TestMultiStart:

@@ -102,7 +102,7 @@ def test_factor_norm_and_rcond_match_the_plain_formula(case):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "lapack", spy)
             sol, got = linalg._factor(M, rhs)
-        assert same_bits(got, rcond)
+        assert same_bits(got.rcond, rcond)
         assert sol.shape == rhs.shape
         assert all(same_norm(anorm, expected) for anorm in spy.anorms)
 
