@@ -7,22 +7,31 @@ repeated tuples are summed (scipy's COO convention).
 ``apply`` takes the contraction from the Jacobian by Euler's identity,
 ``T(x) x / (m-1)``, and ``residual`` adds up ``_residual``, as every solve
 does, so it reads a report's residual bits.  The Jacobian's index plan is
-built once per :class:`Tensor` and is read-only.  It takes the products of
-``x`` from the flat ``d``-fold outer power ``x ⊗ ... ⊗ x``, ``d <= m-2``
-the largest depth with ``n^d <= nnz`` (so the table is never larger than
-the tensor).  Each entry gives one term per variable position ``p = 2..m``,
-for output cell ``i1 * n + ip``.  The plan is CSR in int32 with one row per
-cell of the n×n ``T(x)``: the ``(m-1) * nnz`` terms stable-sorted by cell,
-each with its table index and value.  The Jacobian is one call of scipy's
-compiled loop ``csr_matvec``, ``T[c] += values[k] * table[index[k]]`` over
-the terms ``k`` of each cell ``c`` in turn, straight into ``T(x)``.
-Factors the depth leaves out are multiplied into the taken table entries
-per term, and that array, indexed by ``k``, is then the table.  The bits
-are those of one gather per position, products left to right and an
-unbuffered add into the cells position after position: a table entry is
-the same products in the same order, ``values[k] * p`` is ``p *
-values[k]``, and each cell adds its terms, if any, from ``+0.0``, position
-2 first, then 3 up to ``m``, in input order within each position.
+built once per :class:`Tensor` and is read-only.  ``A x^{m-1}`` and ``T(x)``
+read ``A`` only through its symmetrisation in the indices 2..m, so the plan
+merges the entries whose trailing indices ``(i2..im)`` are the same up to
+order.  An entry's key is ``(i1, its sorted trailing indices)``, and a key's
+value is the sum of its entries' values, added from ``+0.0`` in input order.
+A key gives one term per distinct index ``j`` of its sorted tail, for output
+cell ``i1 * n + j``: its coefficient is the multiplicity of ``j`` times the
+key's value, and its factors are the tail with one ``j`` removed, still
+sorted.  A dense tensor of order 4 keeps about half of the ``(m-1) * nnz``
+terms that one term per entry and position would give.  The products of
+``x`` come from the flat ``d``-fold outer power ``x ⊗ ... ⊗ x``, ``d <= m-2``
+the largest depth with ``n^d <= nnz`` (so the table is never larger than the
+tensor): a term's first ``d`` factors give its table index, and the rest are
+its ``rests``.  The plan is CSR in int32 with one row per cell of the n×n
+``T(x)``: the terms ordered by cell, and within a cell by key, each with its
+table index and coefficient.  The Jacobian is one call of scipy's compiled
+loop ``csr_matvec``, ``T[c] += values[k] * table[index[k]]`` over the terms
+``k`` of each cell ``c`` in turn, straight into ``T(x)``.  Factors the depth
+leaves out are multiplied into the taken table entries per term, and that
+array, indexed by ``k``, is then the table.  So the bits are these: each term
+is its coefficient times the product of its factors left to right over the
+sorted indices, whatever the depth (a table entry is the same products in
+the same order, and ``values[k] * p`` is ``p * values[k]``), and each cell
+adds its terms, if any, from ``+0.0`` in key order (``i1``, then the sorted
+tail, compared index by index).
 """
 
 from __future__ import annotations
@@ -56,41 +65,112 @@ _ONE.setflags(write=False)
 
 class _Plan(NamedTuple):
     """Read-only CSR arrays of ``jacobian_T``, one row per cell of ``T(x)``; the
-    terms are ordered cell by cell, and within a cell by position, then input order."""
+    terms are ordered cell by cell, and within a cell by key."""
 
     depth: int  # the table is the depth-fold outer power of x
-    indptr: np.ndarray  # (n^2 + 1,): the terms of cell c = i1 * n + ip are indptr[c]:indptr[c+1]
-    flats: np.ndarray  # (terms,): the table index, of the other positions' indices
-    values: np.ndarray  # (terms,): the entry's value
+    indptr: np.ndarray  # (n^2 + 1,): the terms of cell c = i1 * n + j are indptr[c]:indptr[c+1]
+    flats: np.ndarray  # (terms,): the table index, of the term's first depth factors
+    values: np.ndarray  # (terms,): the coefficient, j's multiplicity times the key's value
     rests: np.ndarray  # (m-2-depth, terms): x indices of the factors the table leaves out
 
 
+def _sorted_columns(rows: np.ndarray) -> np.ndarray:
+    """A copy of ``rows`` with each column sorted.  Up to four rows go through
+    an insertion network of whole-row compare-exchanges, a few ufunc calls over
+    contiguous rows; ``np.sort`` along the columns pays a fixed cost per column."""
+    if len(rows) > 4:
+        return np.sort(rows, axis=0)
+    rows = list(rows)
+    for i in range(1, len(rows)):
+        for j in range(i, 0, -1):
+            rows[j - 1], rows[j] = np.minimum(rows[j - 1], rows[j]), np.maximum(rows[j - 1], rows[j])
+    return np.array(rows)
+
+
 def _build_plan(m: int, n: int, indices: np.ndarray, values: np.ndarray) -> _Plan:
-    """The plan of checked int32 ``indices`` and their ``values``."""
-    nnz = len(indices)
+    """The plan of checked int32 ``indices`` and their ``values``: the terms of
+    their keys (see the module docstring), ordered by cell, then key.  Each
+    temporary goes once used, so the build peaks near the plan's own size."""
+    nnz, k = len(indices), m - 1
     depth = 0  # the largest d <= m-2 with n^d <= nnz
     while depth < m - 2 and n ** (depth + 1) <= nnz:
         depth += 1
     cols = indices.T  # (m, nnz), one contiguous row per position
-    cells = (cols[0] * n + cols[1:]).ravel()  # position 2's terms, then 3's, ...
-    # a stable sort; numpy's radix sort on 16-bit keys takes linear time
-    order = (cells.astype(np.uint16) if n * n <= 1 << 16 else cells).argsort(kind="stable")
+    tails = _sorted_columns(cols[1:])
+    # The entries in key order (i1, then the sorted tail), each key's in input
+    # order, by one int64 sort: the key's digits in radix n, then the entry's
+    # number in the low bits; the key so far is replaced by its rank among
+    # the keys wherever the next digit would not fit
+    low = max(nnz - 1, 0).bit_length()
+    key, span = cols[0].astype(np.int64), n
+    for r in range(k + 1):
+        scale = n if r < k else 1 << low
+        if span * scale >= 1 << 63:
+            ranks, key = np.unique(key, return_inverse=True)
+            span = len(ranks)
+        span *= scale
+        key *= scale
+        key += tails[r] if r < k else np.arange(nnz)
+    key.sort()
+    order = key & ((1 << low) - 1)
+    key >>= low
+    first = np.empty(nnz, dtype=bool)  # the first entry of each key
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    del key
+    reps = order.compress(first)
+    # bincount adds each key's values from +0.0 in the order given: input order
+    summed = np.bincount(first.cumsum(dtype=np.int32), weights=values.take(order))[1:]
+    del order, first
+    rows = cols[0].take(reps)
+    rows *= n  # the flat start of each key's row of T(x)
+    tails = tails.take(reps, axis=1).T.ravel()  # the keys' sorted tails, one after another
+    del reps
+    # One term per run of an index j in a sorted tail, at flat position `at`
+    start = np.empty(tails.size + 1, dtype=bool)
+    np.not_equal(tails[1:], tails[:-1], out=start[1:-1])
+    start[::k] = True  # every tail starts a run, and so does the end
+    at = np.arange(start.size, dtype=np.int32).compress(start)
+    del start
+    runs = at[1:] - at[:-1]  # each run ends where the next one starts
+    at = at[:-1]
+    cells = rows.take(at // k)
+    cells += tails.take(at)
+    del rows
     indptr = np.zeros(n * n + 1, dtype=np.int32)
-    indptr[1:] = np.bincount(cells, minlength=n * n)  # int32 holds them: (m-1) * nnz < 2^31
+    indptr[1:] = np.bincount(cells, minlength=n * n)  # int32 holds them: terms <= (m-1) * nnz
     np.add.accumulate(indptr, out=indptr)  # in int32, in place: no temporary past bincount's
-    del cells  # the plan below reuses its memory
-    # others[j, p-1] is the j-th position other than p, for p = 1..m-1; an
-    # empty tensor has no terms to take positions of, so it builds no rows
-    q = np.arange(1, m - 1 if nnz else 1)[:, None]
-    others = q + (q >= np.arange(1, m))
-    flats = cols[others[0]] if depth else np.zeros((m - 1, nnz), dtype=np.int32)
-    for column in others[1:depth]:  # in place, to keep the build's peak memory low
-        flats *= n
-        flats += cols[column]
-    flats = flats.ravel().take(order)
-    rests = cols[others[depth:]].reshape(m - 2 - depth, order.size)[:, order]
-    values = values.take(np.remainder(order, max(nnz, 1), out=order))  # each term's entry
-    plan = _Plan(depth, indptr, flats, values, rests)
+    # The terms by cell, each cell's in key order, by one int64 sort of the
+    # cell above the term's number; the terms are numbered key by key
+    low = max(at.size - 1, 0).bit_length()
+    order = cells.astype(np.int64)
+    del cells
+    order <<= low
+    order |= np.arange(at.size)
+    order.sort()
+    order &= (1 << low) - 1
+    at, runs = at.take(order), runs.take(order)
+    del order
+    index = at // k  # the term's key
+    coefs = summed.take(index)
+    with np.errstate(over="ignore"):  # past the float range it is inf, as T(x) would be
+        coefs *= runs  # j's multiplicity times the key's value
+    del summed, runs
+    index *= k  # the flat start of the key's tail
+    at -= index  # j's position in the tail
+    # The factors are the tail without that position, still sorted: the r-th
+    # is at the tail's start + r, one further on from j's position
+    flats = np.zeros(at.size, dtype=np.int32)
+    rests = np.empty((k - 1 - depth, at.size), dtype=np.int32)
+    for r in range(k - 1):
+        index += at == r
+        if r < depth:
+            flats *= n
+            flats += tails.take(index)
+        else:
+            rests[r - depth] = tails.take(index)
+        index += 1
+    plan = _Plan(depth, indptr, flats, coefs, rests)
     for part in plan[1:]:
         part.setflags(write=False)
     return plan
@@ -118,10 +198,13 @@ class Tensor:
     the kernels sum them, as scipy's COO format does, and
     :func:`build_tensor` is the entry point that rejects them.  The
     Jacobian's index plan (see the module docstring) is derived once, at
-    construction, and is read-only; it holds the ``(m-1) * nnz`` terms, each
-    with a table index, a value and, when the table depth falls short of
-    ``m-2``, the ``m-2-depth`` x indices of ``rests``, and ``n^2 + 1`` row
-    pointers; ``apply`` and ``jacobian_T`` form the n×n ``T(x)`` per call.
+    construction, and is read-only; it holds one term per key and distinct
+    trailing index, at most ``(m-1) * nnz``, each with a table index, a
+    coefficient and, when the table depth falls short of ``m-2``, the
+    ``m-2-depth`` x indices of ``rests``, and ``n^2 + 1`` row pointers;
+    ``apply`` and ``jacobian_T`` form the n×n ``T(x)`` per call.  A
+    coefficient past the float range, from values near the largest float,
+    is ``inf``.
     ``==`` and ``hash()`` go by identity; safe to share across concurrent solves.
     """
 
@@ -145,7 +228,7 @@ class Tensor:
                 f"expected indices of shape (nnz, {self.m}) and values of shape (nnz,), "
                 f"got {indices.shape} and {values.shape}"
             )
-        # cells i1 * n + ip of T(x), table indices, term numbers and the
+        # cells i1 * n + j of T(x), table indices, term numbers and the
         # plan's indptr all stay within max(n^2, (m-1) * nnz)
         limit = np.iinfo(np.int32).max
         if max(self.n * self.n, (self.m - 1) * values.size) > limit:
