@@ -8,10 +8,10 @@ is ``dlange``'s largest row sum of ``|M.T|``, with the bits of
 rcond 0 either way).  One ``dgesv`` call factors and solves each matrix,
 with the bits of ``dgetrf`` then ``dgetrs``; ``_factor`` returns the verdict on
 that LU, ``dgecon``'s rcond, as the :class:`SolveDiagnostics` every caller
-reads, and ``SolveDiagnostics.singular`` judges it.  Every LU happens inside
-``solve_shifted``, ``solve_bordered``, ``shift_rcond``, ``bordered_rcond``
-or ``first_nonsingular``, the loop in which the solvers try shifts, each
-judged by the LU of the step's system at it.
+reads, and ``SolveDiagnostics.singular`` judges it.  Every LU a solve makes
+happens inside ``first_nonsingular``, the loop in which the solvers try
+shifts, each judged by the LU of the step's system at it; plain Newton, MPNI
+and the public rescue (at ``A x^{m-1} = 0``) share one bordered step there.
 
 ``dgesv``, ``dgecon`` and ``dlange`` come from scipy's LAPACK extension
 ``scipy/linalg/_flapack*``, and the Jacobian kernel's ``csr_matvec`` from
@@ -202,33 +202,41 @@ def _upward(lam: float):
         yield float(lam + eps), eps
 
 
-def _upward_shift(lam: float, T: np.ndarray, x: np.ndarray, rhs):
-    """MPNI's rescue: the first :func:`_upward` candidate whose bordered matrix
-    is not singular, with the solution for ``[r; s]``, ``(r, s) = rhs(shift)``,
-    from its LU: ``(shift, y, diag)``, the offset as ``diag.perturbation``;
-    :class:`PerturbationExhausted` carries the last candidate's ``diag``."""
+def _newton_step(candidates, T: np.ndarray, x: np.ndarray, ax):
+    """The bordered Newton step ``[[s I - T, x], [e^T, 0]] [d; delta] =
+    [s x - ax; e^T x - 1]`` at the first ``(s, offset)`` candidate that
+    :func:`first_nonsingular` accepts, from its LU: ``(s, x - d, s - delta,
+    diag)``, the offset as ``diag.perturbation``; if it accepts none, the
+    last candidate's, whose ``diag.singular`` holds."""
     def system(c):
         b = np.empty(x.size + 1)
-        b[:-1], b[-1] = rhs(c[0])
+        b[:-1] = c[0] * x - ax
+        b[-1] = x.sum() - 1.0
         return bordered_matrix(c[0], T, x), b
 
-    (shift, eps), y, diag = first_nonsingular(_upward(lam), system)
-    diag = SolveDiagnostics(rcond=diag.rcond, perturbation=eps)
+    (shift, offset), y, diag = first_nonsingular(candidates, system)
+    return shift, x - y[:-1], float(shift - y[-1]), SolveDiagnostics(diag.rcond, offset)
+
+
+def _upward_shift(lam: float, T: np.ndarray, x: np.ndarray, ax):
+    """MPNI's rescue: :func:`_newton_step` over the :func:`_upward` candidates;
+    :class:`PerturbationExhausted` carries the last candidate's ``diag``."""
+    shift, x_hat, lam_hat, diag = _newton_step(_upward(lam), T, x, ax)
     if diag.singular:
         raise PerturbationExhausted(
             f"no shift perturbation of lam={lam!r} in {EPS_ATTEMPTS} attempts made the "
             f"bordered matrix nonsingular (last rcond={diag.rcond:.3e})",
             diagnostics=diag,
         )
-    return shift, y, diag
+    return shift, x_hat, lam_hat, diag
 
 
 def ensure_bordered_nonsingular(
     lam: float, T: np.ndarray, x: np.ndarray
 ) -> tuple[float, SolveDiagnostics]:
-    """A shift ``lam'`` whose bordered matrix is not flagged singular, and its
-    diagnostics, by MPNI's rescue with a zero right-hand side (see
-    :func:`_upward_shift`).  The bordered determinant has degree n-1 in the
-    shift, so only finitely many shifts are bad; the schedule is bounded."""
-    shift, _, diag = _upward_shift(lam, T, np.asarray(x, dtype=float), lambda shift: (0.0, 0.0))
+    """MPNI's shift ``lam'`` (the first on its upward schedule whose bordered
+    matrix is not judged singular) and diagnostics, by :func:`_upward_shift`
+    at ``A x^{m-1} = 0``: an LU's verdict does not depend on its right-hand
+    side.  The bordered determinant has degree n-1 in the shift: few are bad."""
+    shift, _, _, diag = _upward_shift(lam, T, np.asarray(x, dtype=float), 0.0)
     return shift, diag

@@ -23,12 +23,12 @@ in the step that forms the next ``(x, lam)``, rescuing a singular shift:
 
 MNI, PNI and ``newton_step_closed`` share one closed-form update through
 ``w = (lam I - T(x))^{-1} x``: the Newton value ``(lam - 1 / e^T w) /
-(m-1)`` and the direction ``(m-2) x + w / e^T w``.  MNI, PNI and MPNI try
-their shifts through one loop, ``first_nonsingular``, which judges a shift
-by the LU that solves the step's system at it, and the iterate a rescue
-forms carries its flag and the shift's offset.  They start from the
-contraction and ratio interval of ``_next_interval``, as every later MNI
-and PNI iterate does.
+(m-1)`` and the direction ``(m-2) x + w / e^T w``; plain Newton and MPNI
+share one bordered step, ``linalg._newton_step``.  Every LU of a solve is
+made in ``first_nonsingular``, which judges a shift by the LU that solves
+the step's system at it and raises nothing; a rescued iterate carries its
+flag and the shift's offset.  MNI, PNI and MPNI start from the contraction
+and ratio interval of ``_next_interval``, as later MNI and PNI iterates do.
 
 Each iterate costs one Jacobian ``T(x)``, which the next step's system
 reuses; the residual and ratio interval take the contraction from it as
@@ -48,11 +48,11 @@ from .errors import (
     DimensionMismatch,
     PerturbationExhausted,
     ProjectionEmpty,
-    SingularBordered,
     ZeroDenominator,
     ZeroVector,
 )
-from .linalg import _shifted, _upward_shift, first_nonsingular, solve_bordered, solve_shifted
+from .linalg import (
+    _newton_step, _shifted, _upward_shift, first_nonsingular, solve_bordered, solve_shifted)
 from .tensor import Iterate, Tensor, _euler, _residual, apply, jacobian_T, ratio_bounds
 
 METHODS = ("newton", "mni", "pni", "mpni")
@@ -148,27 +148,20 @@ def newton_step_bordered(
     x: np.ndarray,
     lam: float,
     T: np.ndarray | None = None,
-    ax: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
-    """One Newton step through the bordered system.
+    """One Newton step through the bordered system, by :func:`solve_bordered`
+    (the solvers' step is ``linalg._newton_step``, checked against this one).
 
     Solves [[lam*I - T(x), x], [e^T, 0]] [d; delta] = [lam*x - A x^{m-1};
     e^T x - 1] and returns ``(x - d, lam - delta)``.  Propagates
-    :class:`SingularBordered` when the system is (near-)singular.  ``T`` and
-    ``ax = A x^{m-1}`` are reused when given.
+    :class:`SingularBordered` when the system is (near-)singular.  ``T`` is
+    reused when given.
     """
     x = np.asarray(x, dtype=float)
     if T is None:
         T = jacobian_T(A, x)
-    if ax is None:
-        ax = apply(A, x)
-    d, delta, _ = solve_bordered(lam, T, x, *_newton_rhs(lam, x, ax))
+    d, delta, _ = solve_bordered(lam, T, x, lam * x - apply(A, x), float(x.sum() - 1.0))
     return x - d, float(lam - delta)
-
-
-def _newton_rhs(lam: float, x: np.ndarray, ax: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(r, s) = (lam x - A x^{m-1}, e^T x - 1)``, the bordered Newton step's."""
-    return lam * x - ax, float(x.sum() - 1.0)
 
 
 def newton_step_closed(
@@ -341,13 +334,13 @@ def run_newton(
 
     def step(k, x, lam, pair, fields):
         ax, T = pair
-        try:
-            x, lam = newton_step_bordered(A, x, lam, T=T, ax=ax)
-        except SingularBordered as exc:
+        _, x_next, lam_next, diag = _newton_step(((lam, 0.0),), T, x, ax)
+        if diag.singular:
             raise PerturbationExhausted(
-                f"bordered system singular and plain Newton has no recovery: {exc}"
-            ) from None
-        return x, lam, _contract(A, x), {"lam_hat": lam}
+                "bordered system singular and plain Newton has no recovery: bordered matrix "
+                f"at lam={lam!r} is singular or nearly singular (rcond={diag.rcond:.3e})"
+            )
+        return x_next, lam_next, _contract(A, x_next), {"lam_hat": lam_next}
 
     return _iterate("newton", config or SolverConfig(method="newton"), x, lam, pair, {}, step)
 
@@ -479,8 +472,7 @@ def run_mpni(A: Tensor, x0, config: SolverConfig | None = None) -> SolveReport:
 
     def step(k, x, lam, pair, fields):
         ax, T = pair
-        shift, sol, diag = _upward_shift(lam, T, x, lambda shift: _newton_rhs(shift, x, ax))
-        x_hat, lam_hat = x - sol[:-1], float(shift - sol[-1])
+        _, x_hat, lam_hat, diag = _upward_shift(lam, T, x, ax)
         x = proj_simplex(x_hat)
         flags = ("lambda_perturbed",) if diag.perturbation > 0 else ()
         if x_hat.min() < 0:  # a NaN here makes the iterate diverge, unrecorded

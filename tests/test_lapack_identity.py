@@ -2,7 +2,9 @@
 
 ``linalg._factor`` takes the 1-norm from ``dlange`` on ``M.T`` and factors
 and solves in one ``dgesv`` call; an rcond alone solves a zero right-hand
-side, so its LU is the one a solve of the same matrix reads.  The reference
+side, so its LU is the one a solve of the same matrix reads, and the verdict
+on a matrix, rcond bits and ``singular``, is the same whatever the right-hand
+side, so the public rescue may solve any.  The reference
 here is the plain path: the 1-norm as ``np.abs(M).sum(axis=0).max()``, then
 ``dgetrf``, ``dgecon`` and ``dgetrs``; for the rescue loop
 ``first_nonsingular``, that path run one candidate at a time.  Equality is on the raw bytes, with
@@ -14,7 +16,7 @@ at the ``max_examples`` of the loaded hypothesis profile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -105,6 +107,26 @@ def test_factor_norm_and_rcond_match_the_plain_formula(case):
         assert same_bits(got.rcond, rcond)
         assert sol.shape == rhs.shape
         assert all(same_norm(anorm, expected) for anorm in spy.anorms)
+
+
+@st.composite
+def two_right_hand_sides(draw):
+    """A system, either kind, and a second right-hand side of any floats."""
+    M, b = draw(st.one_of(systems(extremes=False), systems(extremes=True)))
+    return M, b, draw(arrays(np.float64, b.shape, elements=entries(True)))
+
+
+@settings(deadline=None)
+@given(two_right_hand_sides())
+@example((np.ones((2, 2)), np.zeros(2), np.array([np.inf, np.nan])))
+@example((np.array([[1.0, 2.0], [1.0, 2.0 + 1e-14]]), np.ones(2), np.array([1e300, -0.0])))
+def test_factor_verdict_does_not_depend_on_the_right_hand_side(case):
+    # the public rescue solves the Newton right-hand side at A x^{m-1} = 0
+    # and so takes the shift and rcond that MPNI's own right-hand side gives
+    M, b, c = case
+    first, second = linalg._factor(M, b)[1], linalg._factor(M, c)[1]
+    assert same_bits(first.rcond, second.rcond)
+    assert first.singular == second.singular
 
 
 @settings(deadline=None)

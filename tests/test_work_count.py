@@ -89,7 +89,8 @@ def test_one_contraction_jacobian_and_lu_per_step(quartic2, calls, config, lam0)
     # one Jacobian per iterate, including the start and the converged one
     assert calls["jacobian_T"] == steps + 1
     assert calls["apply"] == 0
-    assert calls["lu"] == steps
+    # one LU per step, in the one loop every method tries its shifts through
+    assert calls["first_nonsingular"] == calls["lu"] == calls["lu from first_nonsingular"] == steps
 
 
 @pytest.mark.parametrize("max_iter", [0, 2])
@@ -133,17 +134,25 @@ def test_a_perturbed_mpni_step_factors_its_singular_try_and_the_rescue(calls):
 
 
 def test_every_lu_happens_inside_a_public_linalg_entry_point(calls):
-    # a perturbed MPNI solve makes one rescue loop call per step, and neither
-    # judges a shift again through bordered_rcond nor calls the public rescue
-    report = _perturbed_mpni_solve()
-    assert sum("lambda_perturbed" in rec.flags for rec in report.trace) == 14
-    assert calls["first_nonsingular"] == report.iterations
-    assert calls["bordered_rcond"] == calls["ensure_bordered_nonsingular"] == 0
+    # a solve makes one rescue loop call per step, the step it gives up in
+    # included, and factors only inside it: plain Newton's one shift and
+    # MPNI's schedule go through the same loop, and neither judges a shift
+    # again through bordered_rcond nor calls the public rescue
+    for label, perturbed in (("71/mpni/100", 14), ("71/newton/100", 0), ("77/newton/1", 0)):
+        calls.clear()
+        report = solve(*_golden(label))
+        assert sum("lambda_perturbed" in rec.flags for rec in report.trace) == perturbed
+        gave_up = report.status == "perturbation_exhausted"
+        assert gave_up == (label == "77/newton/1")
+        assert calls["first_nonsingular"] == report.iterations + gave_up
+        assert calls["bordered_rcond"] == calls["ensure_bordered_nonsingular"] == 0
+        assert calls["lu"] == calls["lu from first_nonsingular"]
+    # the rescued MNI and PNI solves factor there too: no solve's LU comes
+    # from _solve, shift_rcond or bordered_rcond
+    for other in ("105/mni/100", "105/pni/100"):
+        solve(*_golden(other))
     assert calls["lu"] == calls["lu from first_nonsingular"]
-    # every other LU: the rescued MNI and PNI solves, plain Newton, and each
-    # entry point called directly
-    for label in ("105/mni/100", "105/pni/100", "71/newton/100"):
-        solve(*_golden(label))
+    # every other LU: each entry point called directly
     T, x = np.diag([1.0, 2.0]), np.array([0.5, 0.5])
     linalg = importlib.import_module("zeigen.linalg")
     linalg.shift_rcond(1.5, T)
@@ -153,9 +162,9 @@ def test_every_lu_happens_inside_a_public_linalg_entry_point(calls):
     ensure_bordered_nonsingular(1.5, T, x)
     callers = {key[len("lu from "):]: n for key, n in calls.items() if key.startswith("lu from ")}
     assert set(callers) == {"first_nonsingular", "_solve", "shift_rcond", "bordered_rcond"}
-    assert callers["_solve"] == calls["solve_shifted"] + calls["solve_bordered"]
-    assert callers["shift_rcond"] == calls["shift_rcond"]
-    assert callers["bordered_rcond"] == calls["bordered_rcond"]
+    assert callers["_solve"] == calls["solve_shifted"] + calls["solve_bordered"] == 2
+    assert callers["shift_rcond"] == calls["shift_rcond"] == 1
+    assert callers["bordered_rcond"] == calls["bordered_rcond"] == 1
     assert calls["lu"] == sum(callers.values())
 
 
@@ -206,12 +215,11 @@ def test_the_public_rescue_takes_mpnis_shift_and_offset():
     report = solve(tensor, x0, config)
     perturbed = 0
     for before, rec in zip(report.trace, report.trace[1:]):
-        if "lambda_perturbed" not in rec.flags:
-            continue
-        perturbed += 1
+        perturbed += "lambda_perturbed" in rec.flags
         T = jacobian_T(tensor, before.x)
         shift, diag = ensure_bordered_nonsingular(before.lam, T, before.x)
         assert diag.perturbation.hex() == rec.perturbation.hex()
+        assert ("lambda_perturbed" in rec.flags) == (diag.perturbation > 0)
         assert shift.hex() == float(before.lam + rec.perturbation).hex()
         # the public Newton step at that shift is the step MPNI took
         x_hat, lam_hat = newton_step_bordered(tensor, before.x, shift, T=T)
