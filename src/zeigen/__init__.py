@@ -15,7 +15,6 @@ from .errors import (
     SingularShift,
     TensorFormatError,
     ZeigenError,
-    ZeroDenominator,
     ZeroVector,
 )
 from .harness import (
@@ -42,8 +41,6 @@ from .solvers import (
     SolverConfig,
     StepRecord,
     mni_select_lambda,
-    newton_step_bordered,
-    newton_step_closed,
     pni_select_lambda,
     proj_simplex,
     project_sign_dominant,

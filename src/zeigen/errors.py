@@ -60,10 +60,6 @@ class PerturbationExhausted(_DiagnosedError):
     system; a solver run it ends reports ``perturbation_exhausted``."""
 
 
-class ZeroDenominator(ZeigenError):
-    """e^T w vanished, so the closed-form Newton update divides by zero."""
-
-
 class ProjectionEmpty(ZeigenError):
     """A vector with no positive components cannot be projected onto the
     simplex."""

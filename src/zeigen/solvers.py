@@ -21,10 +21,10 @@ in the step that forms the next ``(x, lam)``, rescuing a singular shift:
   zero.  When the bordered system at the shift is near-singular, the step
   perturbs the shift upward on ``ensure_bordered_nonsingular``'s schedule.
 
-MNI, PNI and ``newton_step_closed`` share one closed-form update through
-``w = (lam I - T(x))^{-1} x``: the Newton value ``(lam - 1 / e^T w) /
-(m-1)`` and the direction ``(m-2) x + w / e^T w``; plain Newton and MPNI
-share one bordered step, ``linalg._newton_step``.  Every LU of a solve is
+MNI and PNI share the paper's closed-form update through ``w = (lam I -
+T(x))^{-1} x``: the Newton value ``(lam - 1 / e^T w) / (m-1)`` and the
+direction ``(m-2) x + w / e^T w``; plain Newton and MPNI share one
+bordered step, ``linalg._newton_step``.  Every LU of a solve is
 made in ``first_nonsingular``, which judges a shift by the LU that solves
 the step's system at it and raises nothing; a rescued iterate carries its
 flag and the shift's offset.  MNI, PNI and MPNI start from the contraction
@@ -48,11 +48,10 @@ from .errors import (
     DimensionMismatch,
     PerturbationExhausted,
     ProjectionEmpty,
-    ZeroDenominator,
     ZeroVector,
 )
-from .linalg import (
-    _newton_step, _shifted, _upward_shift, first_nonsingular, solve_bordered, solve_shifted)
+from .linalg import _newton_step, _shifted, _upward_shift, first_nonsingular
+# apply is unused here: benchmarks/check_benchmark.py asserts the tracer rebinds it here
 from .tensor import Iterate, Tensor, _euler, _residual, apply, jacobian_T, ratio_bounds
 
 METHODS = ("newton", "mni", "pni", "mpni")
@@ -141,51 +140,6 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-
-def newton_step_bordered(
-    A: Tensor,
-    x: np.ndarray,
-    lam: float,
-    T: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """One Newton step through the bordered system, by :func:`solve_bordered`
-    (the solvers' step is ``linalg._newton_step``, checked against this one).
-
-    Solves [[lam*I - T(x), x], [e^T, 0]] [d; delta] = [lam*x - A x^{m-1};
-    e^T x - 1] and returns ``(x - d, lam - delta)``.  Propagates
-    :class:`SingularBordered` when the system is (near-)singular.  ``T`` is
-    reused when given.
-    """
-    x = np.asarray(x, dtype=float)
-    if T is None:
-        T = jacobian_T(A, x)
-    d, delta, _ = solve_bordered(lam, T, x, lam * x - apply(A, x), float(x.sum() - 1.0))
-    return x - d, float(lam - delta)
-
-
-def newton_step_closed(
-    A: Tensor, x: np.ndarray, lam: float
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """The same Newton step in closed form, via w = (lam*I - T)^{-1} x:
-
-        x_next   = ((m-2) x + w / (e^T w)) / (m-1)
-        lam_next = (lam - 1 / (e^T w)) / (m-1)
-
-    Requires e^T x = 1.  Raises :class:`SingularShift` when the shifted
-    matrix is (near-)singular and :class:`ZeroDenominator` when e^T w
-    vanishes (equivalently, the bordered matrix is singular).  Returns
-    ``(x_next, lam_next, w)``.
-    """
-    x = np.asarray(x, dtype=float)
-    w_hat, _ = solve_shifted(lam, jacobian_T(A, x), x)
-    lam_next = _newton_value(A.m, lam, w_hat)
-    if lam_next is None:
-        raise ZeroDenominator(
-            f"e^T w = {float(w_hat.sum())!r} vanishes; "
-            f"the bordered matrix at lam={lam!r} is singular"
-        )
-    return _direction(A.m, x, w_hat) / (A.m - 1), lam_next, w_hat
 
 
 def _newton_value(m: int, lam: float, w_hat: np.ndarray) -> float | None:

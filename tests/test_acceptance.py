@@ -17,21 +17,19 @@ from zeigen import (
     SolverConfig,
     apply,
     bordered_matrix,
-    ensure_bordered_nonsingular,
     estimate_order,
     fd_check,
     jacobian_T,
     multi_start,
-    newton_step_bordered,
-    newton_step_closed,
     proj_simplex,
     random_tensor,
     ratio_bounds,
     run_mpni,
 )
-from zeigen.linalg import bordered_rcond, shift_rcond
+from zeigen.linalg import _upward_shift, bordered_rcond, shift_rcond
 
 from conftest import quartic2_eigenpairs_oracle, reference_apply
+from test_step_oracles import solver_bordered_step, solver_closed_step
 
 
 def _verdict(num, name, ok, detail=""):
@@ -138,11 +136,10 @@ def test_criterion_6_step_form_equivalence():
         x = draw / draw.sum()
         lo, hi = ratio_bounds(apply(A, x), x)
         lam = float(lo + rng.uniform(0.1, 0.9) * (hi - lo))
-        T = jacobian_T(A, x)
-        if shift_rcond(lam, T) < 1e-6 or bordered_rcond(lam, T, x) < 1e-6:
+        xb, lb, bordered = solver_bordered_step(A, x, lam)
+        xc, lc, _, shifted = solver_closed_step(A, x, lam)
+        if shifted.rcond < 1e-6 or bordered.rcond < 1e-6:
             continue
-        xb, lb = newton_step_bordered(A, x, lam)
-        xc, lc, _ = newton_step_closed(A, x, lam)
         worst = max(worst, float(np.linalg.norm(xb - xc, 1)), abs(lb - lc))
         checked += 1
     _verdict(6, "step-form-equivalence", worst <= 1e-10, f"worst difference {worst:.2e}")
@@ -181,9 +178,7 @@ def _degenerate_step_errors(cubic3, d, delta, radii):
     for h in radii:
         x = (1.0 - h) * x_star + h * d
         lam = h * delta
-        T = jacobian_T(cubic3, x)
-        lam_use, _ = ensure_bordered_nonsingular(lam, T, x)
-        x_hat, lam_hat = newton_step_bordered(cubic3, x, lam_use, T=T)
+        _, x_hat, lam_hat, _ = _upward_shift(lam, jacobian_T(cubic3, x), x, apply(cubic3, x))
         rows.append(
             (error(x, lam), error(x_hat, lam_hat),
              error(proj_simplex(x_hat), max(lam_hat, 0.0)))

@@ -21,7 +21,7 @@ from zeigen import (
     residual,
 )
 
-from conftest import dim2_eigenpairs_oracle, quartic2_eigenpairs_oracle
+from conftest import dim2_eigenpairs_oracle, quartic2_eigenpairs_oracle, reference_apply
 
 
 def test_the_exact_dim2_oracle_gives_the_hand_derived_pairs(quartic2):
@@ -31,6 +31,25 @@ def test_the_exact_dim2_oracle_gives_the_hand_derived_pairs(quartic2):
     for (x, lam), (x_ref, lam_ref) in zip(exact, hand):
         assert np.abs(x - x_ref).sum() <= 1e-13
         assert abs(lam - lam_ref) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "args, interior",
+    [((3, 2, 0.5, 3000), 0), ((5, 2, 0.5, 5044), 1), ((3, 2, 0.5, 3050), 0), ((5, 2, 0.5, 5029), 1)],
+    ids=["3000", "5044", "3050", "5029"],
+)
+def test_the_exact_dim2_oracle_finds_a_multiple_root_at_a_vertex(args, interior):
+    # A e1^{m-1} = 0 exactly, so (e1, 0) is a pair, and t = 1 is a multiple
+    # root of the oracle's g; root-finding alone split it into a complex
+    # pair (no pair at e1) or a real one (a point 2e-8 or 4.5e-8 off e1)
+    A = random_tensor(*args)
+    e1 = np.array([1.0, 0.0])
+    assert not reference_apply(A, e1).any()
+    pairs = dim2_eigenpairs_oracle(A)
+    assert [(x.tolist(), lam) for x, lam in pairs if x.min() <= 1e-6] == [([1.0, 0.0], 0.0)]
+    assert len(pairs) == 1 + interior
+    for x, lam in pairs:
+        assert residual(A, x, lam) <= 1e-13
 
 
 class TestMultiStart:

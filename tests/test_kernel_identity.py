@@ -12,7 +12,9 @@ depends on ``jacobian_T``, so a last-bit change would change traces, and
 ``apply`` reads the contraction from the same Jacobian as every solve, so a
 residual it gives is the one a report holds.  The plain formulation, one
 term per entry and position summed with ``np.add.at``, is kept as an
-accuracy oracle: the merged Jacobian lies within a rounding bound of it.
+accuracy oracle (``plain_jacobian`` in ``tests/conftest.py``, where the
+Newton step oracles build on it): the merged Jacobian lies within a
+rounding bound of it.
 The properties run at the ``max_examples`` of the loaded hypothesis profile
 (``tests/conftest.py``).
 """
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 import zeigen.tensor
 from zeigen import Tensor, apply, build_tensor, jacobian_T, parse_tensor_text, random_tensor
 
-from conftest import reference_apply
+from conftest import plain_jacobian, reference_apply
 
 EPS = np.finfo(float).eps
 TINY = 2.0**-1074  # the smallest subnormal: what one underflowing rounding can lose
@@ -55,20 +57,6 @@ def reference_jacobian(A: Tensor, x: np.ndarray) -> np.ndarray:
             for index in rest:
                 product *= x[index]
             T[i, j] += (tail.count(j) * value) * product
-    return T
-
-
-def plain_jacobian(A: Tensor, x: np.ndarray) -> np.ndarray:
-    """``T(x)`` with one term per entry and position: one 2-D gather of ``x``,
-    ``np.prod`` along each row, then ``np.add.at`` position after position."""
-    T = np.zeros((A.n, A.n))
-    if A.nnz == 0:
-        return T
-    rows = A.indices[:, 0]
-    for p in range(1, A.m):
-        others = [q for q in range(1, A.m) if q != p]
-        partial = A.values * np.prod(x[A.indices[:, others]], axis=1)
-        np.add.at(T, (rows, A.indices[:, p]), partial)
     return T
 
 

@@ -11,13 +11,11 @@ from zeigen import (
     ProjectionEmpty,
     SingularShift,
     SolverConfig,
-    ZeroDenominator,
     ZeroVector,
     apply,
     build_tensor,
+    jacobian_T,
     mni_select_lambda,
-    newton_step_bordered,
-    newton_step_closed,
     pni_select_lambda,
     proj_simplex,
     project_sign_dominant,
@@ -29,9 +27,13 @@ from zeigen import (
     run_newton,
     run_pni,
     solve,
+    solve_shifted,
 )
+from zeigen.linalg import _newton_step
+from zeigen.solvers import _direction
 
 from conftest import quartic2_eigenpairs_oracle
+from test_step_oracles import solver_bordered_step, solver_closed_step
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +49,21 @@ def random_simplex(rng, n):
 
 
 class TestNewtonSteps:
+    """The solvers' Newton step in both forms, as ``test_step_oracles.py``
+    takes them from the solvers' own code: the bordered step of plain Newton
+    and MPNI, and the closed-form pieces of MNI and PNI."""
+
     def test_fixed_point_at_exact_pair(self, quartic2, cubic3):
-        x, lam = newton_step_bordered(quartic2, np.array([1.0, 0.0]), 1.1)
+        x, lam, _ = solver_bordered_step(quartic2, np.array([1.0, 0.0]), 1.1)
         assert_allclose(x, [1.0, 0.0], atol=1e-14)
         assert lam == pytest.approx(1.1, abs=1e-14)
-        x, lam = newton_step_bordered(cubic3, np.array([1.0, 0.0, 0.0]), 0.0)
+        x, lam, _ = solver_bordered_step(cubic3, np.array([1.0, 0.0, 0.0]), 0.0)
         assert_allclose(x, [1.0, 0.0, 0.0], atol=1e-14)
         assert lam == pytest.approx(0.0, abs=1e-14)
 
     def test_quadratic_contraction_from_four_digit_start(self, quartic2):
         target_x, target_lam = quartic2_eigenpairs_oracle()[1]
-        x, lam = newton_step_bordered(quartic2, np.array([0.1875, 0.8125]), 0.7921)
+        x, lam, _ = solver_bordered_step(quartic2, np.array([0.1875, 0.8125]), 0.7921)
         assert np.linalg.norm(x - target_x, 1) <= 1e-3
         assert abs(lam - target_lam) <= 1e-3
         # the four-digit reference values
@@ -72,13 +78,10 @@ class TestNewtonSteps:
             A = random_tensor(m, n, 0.8, int(rng.integers(1e9)))
             x = random_simplex(rng, n)
             low, high = ratio_bounds(apply(A, x), x)
-            x_next, _ = newton_step_bordered(A, x, high + 0.5)
+            x_next, _, _ = solver_bordered_step(A, x, high + 0.5)
             assert abs(x_next.sum() - 1.0) <= 1e-12
 
     def test_closed_form_matches_bordered(self):
-        from zeigen import jacobian_T
-        from zeigen.linalg import bordered_rcond, shift_rcond
-
         rng = np.random.default_rng(23)
         checked = 0
         while checked < 50:
@@ -88,33 +91,38 @@ class TestNewtonSteps:
             x = random_simplex(rng, n)
             low, high = ratio_bounds(apply(A, x), x)
             lam = float(low + rng.uniform(0.1, 0.9) * (high - low))
-            T = jacobian_T(A, x)
-            if shift_rcond(lam, T) < 1e-6 or bordered_rcond(lam, T, x) < 1e-6:
+            xb, lb, bordered = solver_bordered_step(A, x, lam)
+            xc, lc, w, shifted = solver_closed_step(A, x, lam)
+            if shifted.rcond < 1e-6 or bordered.rcond < 1e-6:
                 continue
-            xb, lb = newton_step_bordered(A, x, lam)
-            xc, lc, w = newton_step_closed(A, x, lam)
             assert np.linalg.norm(xb - xc, 1) <= 1e-10
             assert abs(lb - lc) <= 1e-10
             # w solves the shifted system
-            assert_allclose((lam * np.eye(n) - T) @ w, x, atol=1e-8)
+            assert_allclose((lam * np.eye(n) - jacobian_T(A, x)) @ w, x, atol=1e-8)
             checked += 1
 
     def test_closed_form_singular_shift_where_bordered_succeeds(self, cubic3):
         x = np.array([1.0, 0.0, 0.0])
+        T = jacobian_T(cubic3, x)
         with pytest.raises(SingularShift):
-            newton_step_closed(cubic3, x, 0.0)
-        x_next, lam_next = newton_step_bordered(cubic3, x, 0.0)
+            solve_shifted(0.0, T, x)
+        _, x_next, lam_next, diag = _newton_step(((0.0, 0.0),), T, x, apply(cubic3, x))
+        assert not diag.singular
         assert_allclose(x_next, x, atol=1e-14)
 
+    @pytest.mark.filterwarnings("ignore:divide by zero")  # the direction's w / e^T w
     def test_closed_form_zero_denominator(self, diag_matrix):
         # (1.5 I - diag(1,2))^{-1} [0.5, 0.5] = [1, -1] sums to zero
-        with pytest.raises(ZeroDenominator):
-            newton_step_closed(diag_matrix, np.array([0.5, 0.5]), 1.5)
+        _, lam_next, w, diag = solver_closed_step(diag_matrix, np.array([0.5, 0.5]), 1.5)
+        assert not diag.singular
+        assert w.tolist() == [1.0, -1.0]
+        assert lam_next is None  # _newton_value's verdict on w = [1, -1]
 
     @pytest.mark.parametrize("run", [run_mni, run_pni])
     def test_shift_schemes_take_the_closed_form_step(self, run):
         # The Newton value of a first MNI or PNI step is the closed form's,
-        # bit for bit; PNI's iterate is the closed-form iterate projected.
+        # bit for bit; PNI's iterate is the closed-form direction projected,
+        # bit for bit too.
         rng = np.random.default_rng(31)
         checked = 0
         while checked < 40:
@@ -125,10 +133,10 @@ class TestNewtonSteps:
             trace = run(A, x0, SolverConfig(max_iter=1)).trace
             if len(trace) < 2 or "lambda_adjusted" in trace[1].flags or trace[1].lam_hat is None:
                 continue  # converged at x0, moved its first shift, or e^T w = 0
-            xc, lc, _ = newton_step_closed(A, x0, trace[0].lam)
+            _, lc, w, _ = solver_closed_step(A, x0, trace[0].lam)
             assert trace[1].lam_hat == lc
             if run is run_pni:
-                np.testing.assert_array_max_ulp(trace[1].x, proj_simplex(xc), maxulp=8)
+                assert trace[1].x.tobytes() == proj_simplex(_direction(m, x0, w)).tobytes()
             checked += 1
 
 

@@ -20,15 +20,10 @@ import pytest
 from zeigen import SolverConfig, jacobian_T, solve
 from zeigen.errors import PerturbationExhausted
 from zeigen.linalg import EPS_ATTEMPTS, EPS_BASE, EPS_FACTOR, ensure_bordered_nonsingular
-from zeigen.solvers import (
-    BETA_FALLBACK,
-    _bisection,
-    newton_step_bordered,
-    pni_select_lambda,
-    proj_simplex,
-)
+from zeigen.solvers import BETA_FALLBACK, _bisection, pni_select_lambda, proj_simplex
 
 from test_golden_reports import _family
+from test_step_oracles import solver_bordered_step
 
 MODULES = ("zeigen", "zeigen.tensor", "zeigen.linalg", "zeigen.solvers", "zeigen.harness")
 # the public linalg functions that may factor a matrix
@@ -221,8 +216,8 @@ def test_the_public_rescue_takes_mpnis_shift_and_offset():
         assert diag.perturbation.hex() == rec.perturbation.hex()
         assert ("lambda_perturbed" in rec.flags) == (diag.perturbation > 0)
         assert shift.hex() == float(before.lam + rec.perturbation).hex()
-        # the public Newton step at that shift is the step MPNI took
-        x_hat, lam_hat = newton_step_bordered(tensor, before.x, shift, T=T)
+        # the bordered Newton step at that shift alone is the step MPNI took
+        x_hat, lam_hat, _ = solver_bordered_step(tensor, before.x, shift)
         assert lam_hat.hex() == rec.lam_hat.hex()
         assert proj_simplex(x_hat).tobytes() == rec.x.tobytes()
     assert perturbed == 14
